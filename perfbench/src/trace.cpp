@@ -21,11 +21,6 @@ void SpanRecorder::Record(std::uint64_t id, const char* name,
   spans_.push_back(Span{name, id, parent, request, start, end});
 }
 
-std::size_t SpanRecorder::Size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return spans_.size();
-}
-
 std::vector<SpanTotals> SpanRecorder::Totals() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unordered_map<std::uint64_t, std::vector<const Span*>> children;

@@ -56,8 +56,6 @@ class SpanRecorder {
               std::uint64_t request, Clock::time_point start,
               Clock::time_point end);
 
-  [[nodiscard]] std::size_t Size() const;
-
   /// Per-name totals with self time, sorted by name.
   [[nodiscard]] std::vector<SpanTotals> Totals() const;
 
