@@ -28,11 +28,10 @@ class CoarseOccupancy {
   /// Out-of-range points report unoccupied.
   [[nodiscard]] bool OccupiedAtWorld(Vec3f p) const;
 
-  /// Coarse cell containing a world point (clamped).
+  /// Coarse cell containing a world point (clamped). Each coordinate is
+  /// monotone in the point's coordinate on that axis (truncation and clamp
+  /// both are), which the lattice marcher's jump rule relies on.
   [[nodiscard]] Vec3i CellOfWorld(Vec3f p) const;
-
-  /// World-space bounds of a coarse cell.
-  [[nodiscard]] Aabb CellBounds(Vec3i cell) const;
 
  private:
   BitGrid coarse_;

@@ -42,7 +42,6 @@ OccupancyOctree OccupancyOctree::Build(const CoarseOccupancy& coarse) {
   OccupancyOctree tree;
   tree.factor_ = coarse.Factor();
   tree.levels_ = ReduceToRoot(coarse.Bits());
-  tree.InitBoundaries();
   return tree;
 }
 
@@ -71,50 +70,33 @@ OccupancyOctree OccupancyOctree::FromLevels(std::vector<BitGrid> levels,
   OccupancyOctree tree;
   tree.factor_ = factor;
   tree.levels_ = std::move(levels);
-  tree.InitBoundaries();
   return tree;
 }
 
-void OccupancyOctree::InitBoundaries() {
-  const GridDims& d = levels_.back().Dims();
-  const auto fill = [](std::vector<float>& out, int n) {
-    out.resize(static_cast<std::size_t>(n) + 1);
-    for (int i = 0; i <= n; ++i) {
-      // EXACTLY the CoarseOccupancy::CellBounds expression, so a marcher
-      // reading the table sees bit-identical boundary planes.
-      out[static_cast<std::size_t>(i)] =
-          static_cast<float>(i) / static_cast<float>(n);
-    }
-  };
-  fill(bx_, d.nx);
-  fill(by_, d.ny);
-  fill(bz_, d.nz);
-}
-
-bool OccupancyOctree::FindEmptyNode(Vec3i c, OctreeRayCache& cache) const {
+bool OccupancyOctree::FindEmptyNode(Vec3i c, OctreeNode& node) const {
   const int leaf = Levels() - 1;
   // Leaf probe first: an occupied cell answers in one probe, exactly the
   // flat path's cost, so dense regions pay nothing for the hierarchy.
   if (levels_.back().Test(c)) return false;
   // The leaf is empty, so some empty ancestor chain exists (parent empty
   // <=> all children empty). Descend root-first and stop at the shallowest
-  // empty node — the largest region the per-ray cache can cover.
+  // empty node — the largest region one jump can cross.
   for (int l = 0; l < leaf; ++l) {
     const int shift = leaf - l;
     const Vec3i a{c.x >> shift, c.y >> shift, c.z >> shift};
     if (!levels_[static_cast<std::size_t>(l)].Test(a)) {
       const GridDims& ld = levels_.back().Dims();
-      cache.lo = Vec3i{a.x << shift, a.y << shift, a.z << shift};
-      cache.hi = Vec3i{std::min((a.x + 1) << shift, ld.nx),
-                       std::min((a.y + 1) << shift, ld.ny),
-                       std::min((a.z + 1) << shift, ld.nz)};
-      cache.level = l;
+      node.lo = Vec3i{a.x << shift, a.y << shift, a.z << shift};
+      node.hi = Vec3i{std::min((a.x + 1) << shift, ld.nx),
+                      std::min((a.y + 1) << shift, ld.ny),
+                      std::min((a.z + 1) << shift, ld.nz)};
+      node.level = l;
       return true;
     }
   }
-  cache.lo = c;
-  cache.hi = Vec3i{c.x + 1, c.y + 1, c.z + 1};
-  cache.level = leaf;
+  node.lo = c;
+  node.hi = Vec3i{c.x + 1, c.y + 1, c.z + 1};
+  node.level = leaf;
   return true;
 }
 

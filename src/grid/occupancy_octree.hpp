@@ -7,12 +7,12 @@
 // d above the leaves is simply c >> d — so the whole structure is a handful
 // of BitGrids and traversal needs no pointer chasing.
 //
-// The ray marchers use it through a per-ray cache (OctreeRayCache): when a
-// sample lands in an empty leaf, one root-down descent finds the SHALLOWEST
-// empty ancestor and caches its leaf-cell range; every subsequent empty
-// sample inside that range is answered by six integer compares, with no
-// bitmap probe at all. Occupied leaves cost exactly one leaf-bit probe —
-// the same as the flat path — so dense scenes pay no hierarchy tax.
+// The ray marchers use it to cross empty space a node at a time: when a
+// lattice sample lands in an empty leaf, one root-down descent finds the
+// SHALLOWEST empty ancestor (FindEmptyNode) and the march jumps past that
+// node's whole leaf-cell range in one step. Occupied leaves cost exactly one
+// leaf-bit probe — the same as the flat path — so dense scenes pay no
+// hierarchy tax.
 #pragma once
 
 #include <vector>
@@ -21,17 +21,16 @@
 
 namespace spnerf {
 
-/// Per-ray traversal state: the leaf-cell range [lo, hi) of the empty
-/// octree node the ray is currently crossing, plus the level it was found
-/// at (root = 0; -1 = no cached node yet). Reset per ray, never shared.
-struct OctreeRayCache {
+/// One octree node as the leaf-cell range [lo, hi) it covers, plus the
+/// level it sits at (root = 0, leaf = Levels()-1).
+struct OctreeNode {
   Vec3i lo{0, 0, 0};
   Vec3i hi{0, 0, 0};
-  i32 level = -1;
+  i32 level = 0;
 
-  [[nodiscard]] bool Covers(Vec3i c) const {
-    return level >= 0 && c.x >= lo.x && c.x < hi.x && c.y >= lo.y &&
-           c.y < hi.y && c.z >= lo.z && c.z < hi.z;
+  [[nodiscard]] bool Contains(Vec3i c) const {
+    return c.x >= lo.x && c.x < hi.x && c.y >= lo.y && c.y < hi.y &&
+           c.z >= lo.z && c.z < hi.z;
   }
 };
 
@@ -64,35 +63,13 @@ class OccupancyOctree {
   [[nodiscard]] int Factor() const { return factor_; }
 
   /// Shallowest (largest) empty node containing leaf cell `c`. Returns
-  /// false when the leaf is occupied; otherwise fills `cache` with the
-  /// node's leaf-cell range [lo, hi) and its level. `c` must be in range.
-  [[nodiscard]] bool FindEmptyNode(Vec3i c, OctreeRayCache& cache) const;
-
-  /// Is leaf cell `c` occupied? The leaf bit is probed FIRST, so an
-  /// occupied cell costs exactly one probe — the flat path's cost on the
-  /// sample-step iterations that dominate a march. Empty cells refill
-  /// `cache` with a root-down descent only when they leave the cached
-  /// region. Agrees with CoarseOccupancy::Bits().Test(c) for every
-  /// in-range cell.
-  [[nodiscard]] bool OccupiedAt(Vec3i c, OctreeRayCache& cache) const {
-    if (levels_.back().Test(c)) return true;
-    if (!cache.Covers(c)) (void)FindEmptyNode(c, cache);
-    return false;
-  }
-
-  /// Precomputed leaf-cell boundary planes: BoundaryX()[i] is bitwise
-  /// identical to `float(i) / float(LeafDims().nx)` for i in [0, nx]
-  /// (likewise per axis), so the DDA marcher replaces the CellBounds
-  /// divisions with table loads without perturbing a single bit.
-  [[nodiscard]] const float* BoundaryX() const { return bx_.data(); }
-  [[nodiscard]] const float* BoundaryY() const { return by_.data(); }
-  [[nodiscard]] const float* BoundaryZ() const { return bz_.data(); }
+  /// false when the leaf is occupied; otherwise fills `node` with the
+  /// node's leaf-cell range [lo, hi) and its level. The leaf bit is probed
+  /// first, so an occupied cell costs one probe. `c` must be in range.
+  [[nodiscard]] bool FindEmptyNode(Vec3i c, OctreeNode& node) const;
 
  private:
-  void InitBoundaries();
-
   std::vector<BitGrid> levels_;  // root-first; back() is the leaf level
-  std::vector<float> bx_, by_, bz_;  // leaf boundary planes, size n+1
   int factor_ = 1;
 };
 

@@ -1,7 +1,7 @@
-// Empty-space-skip structure selection for the ray marchers: the
-// hierarchical occupancy octree (multi-level DDA skipping), or the original
-// flat per-supervoxel CoarseOccupancy probe kept in-tree as the
-// differential oracle — the same scalar-reference-first rule the SIMD and
+// Empty-space-skip structure selection for the ray marchers: jumps across
+// whole empty nodes of the hierarchical occupancy octree, or across one
+// flat CoarseOccupancy leaf cell at a time — kept in-tree as the
+// differential oracle, the same scalar-reference-first rule the SIMD and
 // dispatch layers follow (common/simd.hpp, common/dispatch.hpp).
 //
 //   * The mode is process-global, resolved once from the SPNF_SKIP
@@ -12,10 +12,11 @@
 //     mid-render; tests and benches flip the mode programmatically via
 //     SetActiveMode and construct fresh jobs per mode.
 //   * Both modes are required to produce bit-identical results: images,
-//     RenderStats (including coarse_skips/steps) and DecodeCounters — the
-//     octree path replays the flat path's t-update chain across empty
-//     cells exactly, and the differential CI legs run the render suites
-//     under both.
+//     RenderStats (all but coarse_skips, which counts jumps) and
+//     DecodeCounters. Samples sit on each ray's lattice and are taken iff
+//     their leaf cell is occupied, so the sample set does not depend on how
+//     empty space is crossed; the differential CI legs run the render
+//     suites under both modes.
 #pragma once
 
 #include <string_view>

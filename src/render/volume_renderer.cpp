@@ -13,48 +13,6 @@
 
 namespace spnerf {
 
-namespace render_detail {
-
-float CellExitT(const Ray& ray, const Aabb& cell, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < kDegenerateDirectionEpsilon) continue;
-    const float boundary = d > 0.f ? cell.hi[axis] : cell.lo[axis];
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    // Zero-area cell (or a ray with no boundary ahead): force strictly
-    // forward progress so the skip loop cannot revisit the same t.
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
-}
-
-float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < kDegenerateDirectionEpsilon) continue;
-    const int n = axis == 0 ? dims.nx : axis == 1 ? dims.ny : dims.nz;
-    const int c = axis == 0 ? cell.x : axis == 1 ? cell.y : cell.z;
-    // The exact CellBounds expressions for the one face ahead of the ray:
-    // identical operands, identical division, so the float is identical.
-    const float boundary = d > 0.f
-                               ? static_cast<float>(c + 1) / static_cast<float>(n)
-                               : static_cast<float>(c) / static_cast<float>(n);
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
-}
-
-}  // namespace render_detail
-
 namespace {
 
 /// Pre-resolved metric handles for the skip instrumentation (handle lookup
@@ -63,8 +21,10 @@ namespace {
 /// already covers a 2048^3 coarse grid.
 struct SkipObsHandles {
   static constexpr int kMaxLevels = 12;
-  std::array<obs::Counter*, kMaxLevels> level{};
-  obs::Counter* outside = nullptr;
+  std::array<obs::Counter*, kMaxLevels> level{};  // octree jumps per level
+  obs::Counter* outside = nullptr;  // octree jumps from outside [0,1]^3
+  /// Empty-space jumps per ray: one per leaf cell under SPNF_SKIP=flat, one
+  /// per octree node under octree (RenderStats::coarse_skips, per ray).
   obs::Histogram* cells_per_ray = nullptr;
 
   SkipObsHandles() {
@@ -83,7 +43,11 @@ SkipObsHandles& SkipObs() {
   return handles;
 }
 
-/// Local accumulator for the per-level skip counters (octree mode only);
+}  // namespace
+
+namespace render_detail {
+
+/// Local accumulator for the per-level jump counters (octree mode only);
 /// flushed to the registry once per ray (scalar path) or tile (wavefront).
 struct SkipShard {
   std::array<u32, SkipObsHandles::kMaxLevels> level{};
@@ -98,124 +62,91 @@ struct SkipShard {
   }
 };
 
-/// The shared empty-space-skipping advance of both marchers: moves `t`
-/// forward to the ray's next occupied sample position (returns true) or
-/// past `t_far` (returns false), counting skipped cells into `skips`.
-///
-/// Flat and octree modes replay the IDENTICAL t-update chain — the same
-/// `ray.At(t)` world points, the same clamped cell, the same exit boundary
-/// floats, the same `max(exit_t + eps, t + step)` — so images, stats and
-/// decode counters are bit-identical across modes. The octree mode merely
-/// answers the occupancy question cheaper (the cached empty node covers
-/// whole regions with six integer compares, no bitmap probe) and computes
-/// only the <= 3 exit boundaries the ray can cross (CellExitTDda) instead
-/// of materialising the cell Aabb (6 divisions per empty cell).
-/// CellExitTDda with the boundary divisions replaced by the octree's
-/// precomputed plane tables (table[i] is bitwise float(i)/float(n)): an
-/// empty iteration pays 3 divisions where the flat chain pays 9. The
-/// comparison structure mirrors CellExitT exactly — only the boundary
-/// operand's provenance changes, never its value.
-float CellExitTCached(const Ray& ray, Vec3i cell, const float* bx,
-                      const float* by, const float* bz, float t) {
-  float exit_t = std::numeric_limits<float>::max();
-  for (int axis = 0; axis < 3; ++axis) {
-    const float d = ray.direction[axis];
-    if (std::fabs(d) < render_detail::kDegenerateDirectionEpsilon) continue;
-    const float* table = axis == 0 ? bx : axis == 1 ? by : bz;
-    const int c = axis == 0 ? cell.x : axis == 1 ? cell.y : cell.z;
-    const float boundary = table[c + (d > 0.f ? 1 : 0)];
-    const float tx = (boundary - ray.origin[axis]) / d;
-    if (tx > t && tx < exit_t) exit_t = tx;
-  }
-  if (exit_t == std::numeric_limits<float>::max()) {
-    return std::nextafter(t, std::numeric_limits<float>::infinity());
-  }
-  return exit_t;
+namespace {
+
+/// Largest index a jump lands on directly; guards the float-to-index
+/// conversion when a ray has no exit plane ahead (t_far near FLT_MAX).
+constexpr float kMaxJumpIndex = 1073741824.f;  // 2^30
+
+bool InUnitCube(Vec3f p) {
+  return !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f || p.z < 0.f ||
+           p.z > 1.f);
 }
 
-bool AdvanceToOccupied(const RenderOptions& opt, bool use_octree,
-                       const Ray& ray, float t_far, float& t, u64& skips,
-                       OctreeRayCache& cache, SkipShard* shard) {
-  const CoarseOccupancy* coarse = opt.coarse_skip;
-  if (coarse == nullptr) return t < t_far;
-  if (!use_octree) {
-    // Flat probe: the original reference chain, verbatim.
-    while (t < t_far) {
-      const Vec3f p = ray.At(t);
-      if (coarse->OccupiedAtWorld(p)) return true;
-      const Aabb cell = coarse->CellBounds(coarse->CellOfWorld(p));
-      const float exit_t = render_detail::CellExitT(ray, cell, t);
-      t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                   t + opt.step_size);
-      ++skips;
-    }
-    return false;
+/// The lattice index a jump across the empty `node` from index m.k lands
+/// on. The candidate is the first index at or past the ray's exit from the
+/// node box (capped at t_far), and at least m.k + 1, so grazing and
+/// degenerate rays still progress. The exit distance is rounded, so the
+/// candidate may overshoot: step back while the point before it already
+/// lies outside the node. Every cell coordinate is monotone in k (o + d*t
+/// under round-to-nearest and CellOfWorld's truncation both are), so the
+/// lattice points inside the node form one interval containing m.k; once
+/// point next-1 is inside, every point of (m.k, next) is, and all of them
+/// are empty. An undershoot only costs one more jump.
+u32 JumpPast(const CoarseOccupancy& coarse, const OctreeNode& node,
+             const LatticeMarch& m) {
+  const GridDims& dims = coarse.CoarseDims();
+  float t_exit = m.t_far;
+  for (int axis = 0; axis < 3; ++axis) {
+    const float d = m.ray.direction[axis];
+    if (std::fabs(d) < kDegenerateDirectionEpsilon) continue;
+    const int n = axis == 0 ? dims.nx : axis == 1 ? dims.ny : dims.nz;
+    const int face = d > 0.f ? node.hi[axis] : node.lo[axis];
+    const float plane = static_cast<float>(face) / static_cast<float>(n);
+    t_exit = std::min(t_exit, (plane - m.ray.origin[axis]) / d);
   }
-  const OccupancyOctree& tree = *opt.octree_skip;
-  if (opt.octree_level_cap > 0) {
-    // Degraded-preview march (quality ladder): occupancy is answered `cap`
-    // levels above the leaves. The capped bit ORs every descendant leaf, so
-    // it is conservative — a region is only skipped when every leaf under
-    // it is empty — and the march crosses empty space in capped-level cells
-    // (2^cap wider per axis), so the skip loop runs far fewer iterations on
-    // sparse rays. Exit distances use the division DDA on the capped grid;
-    // this path trades the leaf chain's bit-identity for cost, so it never
-    // engages at rung 0 (octree_level_cap stays 0 there).
-    const int leaf_level = tree.Levels() - 1;
-    const int cap = std::min(opt.octree_level_cap, leaf_level);
-    const int level = leaf_level - cap;
-    const BitGrid& bits = tree.Level(level);
-    const GridDims& dims = bits.Dims();
-    while (t < t_far) {
-      const Vec3f p = ray.At(t);
-      const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f ||
-                            p.y > 1.f || p.z < 0.f || p.z > 1.f);
-      const Vec3i leaf = coarse->CellOfWorld(p);
-      const Vec3i cell{leaf.x >> cap, leaf.y >> cap, leaf.z >> cap};
-      if (inside && bits.Test(cell)) return true;
-      if (shard != nullptr) {
-        if (inside) {
-          ++shard->level[static_cast<std::size_t>(
-              std::min(level, SkipObsHandles::kMaxLevels - 1))];
-        } else {
-          ++shard->outside;
-        }
-      }
-      const float exit_t = render_detail::CellExitTDda(ray, cell, dims, t);
-      t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                   t + opt.step_size);
-      ++skips;
-    }
-    return false;
+  u32 next = m.k + 1;
+  const float k_exit = std::ceil((t_exit - m.t_near) / m.step);
+  if (k_exit > static_cast<float>(next)) {
+    next = k_exit < kMaxJumpIndex ? static_cast<u32>(k_exit)
+                                  : static_cast<u32>(kMaxJumpIndex);
   }
-  const float* bx = tree.BoundaryX();
-  const float* by = tree.BoundaryY();
-  const float* bz = tree.BoundaryZ();
-  while (t < t_far) {
-    const Vec3f p = ray.At(t);
-    // OccupiedAtWorld's out-of-box rule, inlined: outside points are
-    // unoccupied but still march through their clamped boundary cell.
-    const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
-                          p.z < 0.f || p.z > 1.f);
+  while (next - 1 > m.k &&
+         !node.Contains(coarse.CellOfWorld(m.Point(next - 1)))) {
+    --next;
+  }
+  return next;
+}
+
+}  // namespace
+
+bool AdvanceToOccupied(const CoarseOccupancy* coarse,
+                       const OccupancyOctree* octree, LatticeMarch& m,
+                       Vec3f& p, SkipShard* shard) {
+  while (true) {
+    const float t = m.T(m.k);
+    if (!(t < m.t_far)) return false;
+    p = m.ray.At(t);
+    if (coarse == nullptr) return true;
+    const bool inside = InUnitCube(p);
     const Vec3i cell = coarse->CellOfWorld(p);
-    if (inside && tree.OccupiedAt(cell, cache)) return true;
+    OctreeNode node;
+    bool empty = false;
+    if (octree != nullptr) {
+      empty = octree->FindEmptyNode(cell, node);
+    } else {
+      empty = !coarse->Bits().Test(cell);
+      node.lo = cell;
+      node.hi = Vec3i{cell.x + 1, cell.y + 1, cell.z + 1};
+    }
+    if (!empty && inside) return true;
+    // Outside points clamp onto a boundary cell. Over an empty one they
+    // jump like inside points (no point in that cell is taken); over an
+    // occupied one only this point is dropped.
+    m.k = empty ? JumpPast(*coarse, node, m) : m.k + 1;
+    ++m.jumps;
     if (shard != nullptr) {
       if (inside) {
         ++shard->level[static_cast<std::size_t>(
-            std::min(cache.level, SkipObsHandles::kMaxLevels - 1))];
+            std::min(node.level, SkipObsHandles::kMaxLevels - 1))];
       } else {
         ++shard->outside;
       }
     }
-    const float exit_t = CellExitTCached(ray, cell, bx, by, bz, t);
-    t = std::max(exit_t + render_detail::kSkipForwardEpsilon,
-                 t + opt.step_size);
-    ++skips;
   }
-  return false;
 }
 
-}  // namespace
+}  // namespace render_detail
 
 Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
                                 const Ray& ray, RenderStats* stats,
@@ -237,22 +168,26 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   float transmittance = 1.0f;
   u64 ray_steps = 0;
   u64 ray_evals = 0;
-  u64 ray_skips = 0;
   bool terminated = false;
 
   const bool count_obs = obs::CountersEnabled();
-  OctreeRayCache dda;
-  SkipShard shard;
-  SkipShard* shard_ptr = (count_obs && use_octree_) ? &shard : nullptr;
+  render_detail::SkipShard shard;
+  render_detail::SkipShard* shard_ptr =
+      (count_obs && octree_ != nullptr) ? &shard : nullptr;
 
-  float t = t_near;
-  // Empty-space skipping: jump to the exit of unoccupied supervoxels until
-  // the next occupied sample position (or out of the box).
-  while (AdvanceToOccupied(options_, use_octree_, ray, t_far, t, ray_skips,
-                           dda, shard_ptr)) {
+  render_detail::LatticeMarch march;
+  march.ray = ray;
+  march.t_near = t_near;
+  march.t_far = t_far;
+  march.step = options_.step_size;
+  Vec3f p;
+  // Empty-space skipping: jump over unoccupied lattice points until the
+  // next occupied sample position (or out of the box).
+  while (render_detail::AdvanceToOccupied(options_.coarse_skip, octree_,
+                                          march, p, shard_ptr)) {
+    ++march.k;
     ++ray_steps;
-    const FieldSample s = source.Sample(ray.At(t), counters);
-    t += options_.step_size;
+    const FieldSample s = source.Sample(p, counters);
 
     // Stored density is post-activation sigma; negative values (possible
     // after lossy decode) clamp to zero.
@@ -275,7 +210,7 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   color += options_.background * transmittance;
   if (stats) {
     stats->steps += ray_steps;
-    stats->coarse_skips += ray_skips;
+    stats->coarse_skips += march.jumps;
     stats->mlp_evals += ray_evals;
     if (terminated) ++stats->terminated_rays;
     stats->steps_per_ray.Add(static_cast<double>(ray_steps));
@@ -283,7 +218,7 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   }
   if (count_obs) {
     if (shard_ptr != nullptr) shard_ptr->Flush();
-    SkipObs().cells_per_ray->Record(ray_skips);
+    SkipObs().cells_per_ray->Record(march.jumps);
   }
   return color;
 }
@@ -294,16 +229,12 @@ namespace {
 /// buffers of the front are SoA (see WavefrontScratch); this is the per-ray
 /// bookkeeping that survives between wavefront iterations.
 struct WavefrontRay {
-  Ray ray;
+  render_detail::LatticeMarch march;
   ViewEmbedding view{};
   Vec3f color{0.f, 0.f, 0.f};
   float transmittance = 1.0f;
-  float t = 0.0f;
-  float t_far = 0.0f;
   u64 steps = 0;
   u64 evals = 0;
-  u64 skips = 0;
-  OctreeRayCache dda;  // octree skip mode: cached empty-node range
   bool missed = false;
   bool terminated = false;
 };
@@ -337,8 +268,9 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
   const Aabb scene_box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   const int width = x1 - x0;
   const bool count_obs = obs::CountersEnabled();
-  SkipShard skip_shard;
-  SkipShard* skip_shard_ptr = (count_obs && use_octree_) ? &skip_shard : nullptr;
+  render_detail::SkipShard skip_shard;
+  render_detail::SkipShard* skip_shard_ptr =
+      (count_obs && octree_ != nullptr) ? &skip_shard : nullptr;
 
   // Ray setup, row-major over the tile (the same enumeration the scalar
   // loop uses; every per-ray quantity below reduces in this order).
@@ -347,14 +279,13 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
   for (int y = y0; y < y1; ++y) {
     for (int x = x0; x < x1; ++x) {
       WavefrontRay r;
-      r.ray = camera.PixelRay(x, y);
-      float t_near = 0.f, t_far = 0.f;
-      if (!IntersectAabb(r.ray, scene_box, t_near, t_far)) {
+      r.march.ray = camera.PixelRay(x, y);
+      if (!IntersectAabb(r.march.ray, scene_box, r.march.t_near,
+                         r.march.t_far)) {
         r.missed = true;
       } else {
-        r.view = EmbedViewDirection(r.ray.direction);
-        r.t = t_near;
-        r.t_far = t_far;
+        r.view = EmbedViewDirection(r.march.ray.direction);
+        r.march.step = options_.step_size;
         s.active.push_back(static_cast<u32>(s.rays.size()));
       }
       s.rays.push_back(r);
@@ -373,17 +304,17 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     s.front_ray.clear();
     for (const u32 idx : s.active) {
       WavefrontRay& r = s.rays[idx];
-      // Advance to the next sample position (the scalar loop's skip logic,
-      // shared: AdvanceToOccupied replays the identical t-update chain in
-      // either skip mode).
-      if (!AdvanceToOccupied(options_, use_octree_, r.ray, r.t_far, r.t,
-                             r.skips, r.dda, skip_shard_ptr)) {
+      // Advance to the next sample position (the scalar loop's lattice
+      // advance, shared).
+      Vec3f p;
+      if (!render_detail::AdvanceToOccupied(options_.coarse_skip, octree_,
+                                            r.march, p, skip_shard_ptr)) {
         continue;  // marched out of the box: ray retires
       }
+      ++r.march.k;
       ++r.steps;
-      s.positions.push_back(r.ray.At(r.t));
+      s.positions.push_back(p);
       s.front_ray.push_back(idx);
-      r.t += options_.step_size;
     }
 
     // Decode + interpolate the whole front in one call.
@@ -464,12 +395,12 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
         continue;
       }
       out.At(x, y) = r.color + options_.background * r.transmittance;
-      if (count_obs) SkipObs().cells_per_ray->Record(r.skips);
+      if (count_obs) SkipObs().cells_per_ray->Record(r.march.jumps);
       if (stats) {
         ++stats->rays;
         stats->steps += r.steps;
         stats->mlp_evals += r.evals;
-        stats->coarse_skips += r.skips;
+        stats->coarse_skips += r.march.jumps;
         if (r.terminated) ++stats->terminated_rays;
         stats->steps_per_ray.Add(static_cast<double>(r.steps));
         stats->evals_per_ray.Add(static_cast<double>(r.evals));

@@ -38,24 +38,18 @@ struct RenderOptions {
   bool wavefront = true;
   /// Optional coarse occupancy for empty-space skipping (non-owning). All
   /// compared pipelines use the same skip structure, as DVGO/VQRF do.
+  /// Samples sit on each ray's lattice t_k = t_near + k * step_size with or
+  /// without it; skipping only drops the lattice points outside [0,1]^3 or
+  /// in empty leaf cells.
   const CoarseOccupancy* coarse_skip = nullptr;
   /// Optional occupancy octree reduced from `coarse_skip` (non-owning).
   /// When attached and SPNF_SKIP resolves to octree (the default), empty
-  /// space is skipped through the octree's cached-node DDA path; images,
-  /// RenderStats and DecodeCounters stay bit-identical to the flat probe
+  /// space is crossed one empty octree node per jump instead of one leaf
+  /// cell; the sample set is the same, so images, RenderStats (except
+  /// coarse_skips) and DecodeCounters are bit-identical to the flat mode
   /// (execution policy, not semantics; excluded from pipeline keys).
   /// Ignored when `coarse_skip` is null.
   const OccupancyOctree* octree_skip = nullptr;
-  /// Degraded-preview skip granularity (quality ladder, render/quality.hpp):
-  /// when > 0 and the octree path is active, the empty-space march answers
-  /// occupancy this many octree levels ABOVE the leaves — the capped level's
-  /// OR-reduced bit is conservative (true whenever any descendant leaf is
-  /// occupied), so no occupied sample is ever skipped; empty space is
-  /// crossed in capped-level cells, which are 2^cap wider per axis, so a
-  /// sparse ray pays far fewer skip iterations. 0 (the default, and rung 0)
-  /// is the exact leaf-level chain — bit-identical to no cap. Ignored on
-  /// the flat path (SPNF_SKIP=flat has no coarser level to answer from).
-  int octree_level_cap = 0;
 };
 
 /// Per-frame statistics. `mlp_evals` and the per-ray distributions drive the
@@ -63,7 +57,8 @@ struct RenderOptions {
 struct RenderStats {
   u64 rays = 0;
   u64 steps = 0;           // field samples taken
-  u64 coarse_skips = 0;    // supervoxels jumped over without sampling
+  u64 coarse_skips = 0;    // empty-space jumps: one per leaf cell (flat) or
+                           // octree node (octree) crossed without sampling
   u64 mlp_evals = 0;       // samples that passed the alpha threshold
   u64 terminated_rays = 0; // rays stopped by early termination
   u64 missed_rays = 0;     // rays that never hit the scene box
@@ -96,12 +91,13 @@ class VolumeRenderer {
   /// construction — the engine builds one renderer per job, so a job never
   /// changes skip structure mid-render. The octree path engages only when
   /// both skip structures are attached; otherwise the renderer falls back
-  /// to the flat probe (or no skipping at all), whatever the mode says.
+  /// to flat jumps (or no skipping at all), whatever the mode says.
   explicit VolumeRenderer(RenderOptions options = {})
       : options_(options),
-        use_octree_(options.coarse_skip != nullptr &&
-                    options.octree_skip != nullptr &&
-                    skip::ActiveMode() == skip::Mode::kOctree) {}
+        octree_(options.coarse_skip != nullptr &&
+                        skip::ActiveMode() == skip::Mode::kOctree
+                    ? options.octree_skip
+                    : nullptr) {}
 
   [[nodiscard]] const RenderOptions& Options() const { return options_; }
 
@@ -141,37 +137,52 @@ class VolumeRenderer {
                            DecodeCounters* counters) const;
 
   RenderOptions options_;
-  bool use_octree_ = false;  // skip mode, resolved once at construction
+  /// options_.octree_skip when the octree skip mode is in effect, else null
+  /// (flat jumps); resolved once at construction.
+  const OccupancyOctree* octree_ = nullptr;
 };
 
 namespace render_detail {
 
-/// Forward-progress bump added past every empty-cell exit distance before
-/// resuming the march: `t = max(exit_t + kSkipForwardEpsilon, t + step)`.
-/// For grazing rays travelling along a cell face — where the exit boundary
-/// is the very plane the ray rides on — the bump alone guarantees strictly
-/// monotone progress. Shared by the scalar, wavefront and octree-DDA skip
-/// paths; it is part of the bit-exactness contract, not a tunable.
-inline constexpr float kSkipForwardEpsilon = 1e-5f;
-
 /// Direction components with |d| below this are treated as parallel to the
-/// axis: their boundary planes can never be crossed and would divide by
-/// ~zero. Shared by every exit-distance computation.
+/// axis: a jump never takes an exit plane from them (it would divide by
+/// ~zero), matching IntersectAabb's rule.
 inline constexpr float kDegenerateDirectionEpsilon = 1e-12f;
 
-/// Distance along `ray` at which it exits `cell` (entered at parameter `t`).
-/// Always strictly greater than `t`: a degenerate (zero-area) cell, or a ray
-/// grazing a face, would otherwise return `t` unchanged and stall the
-/// empty-space-skipping march.
-float CellExitT(const Ray& ray, const Aabb& cell, float t);
+/// One ray's march over its sample lattice: sample k sits at
+/// t_k = t_near + float(k) * step, for every k with t_k < t_far. The march
+/// state is the index alone, so a sample's position never depends on how
+/// the march reached it — skipped, flat and octree marches of a ray share
+/// every position they sample.
+struct LatticeMarch {
+  Ray ray;
+  float t_near = 0.f;
+  float t_far = 0.f;
+  float step = 0.f;
+  u32 k = 0;      // next lattice index to test
+  u64 jumps = 0;  // empty-space jumps so far (RenderStats::coarse_skips)
 
-/// CellExitT over coarse cell `cell` of a `dims`-sized grid spanning
-/// [0,1]^3, without materialising the cell's Aabb: only the (at most 3)
-/// boundary planes the ray can exit through are computed, saving the 6
-/// divisions of CoarseOccupancy::CellBounds per empty cell. Bit-identical
-/// to `CellExitT(ray, CellBounds(cell), t)` by construction — the boundary
-/// expressions, comparison structure and axis order are the same.
-float CellExitTDda(const Ray& ray, Vec3i cell, const GridDims& dims, float t);
+  [[nodiscard]] float T(u32 i) const {
+    return t_near + static_cast<float>(i) * step;
+  }
+  [[nodiscard]] Vec3f Point(u32 i) const { return ray.At(T(i)); }
+};
+
+/// Per-level obs tally of the jumps (defined in volume_renderer.cpp); the
+/// advance accepts null.
+struct SkipShard;
+
+/// Moves `m.k` to the first index at or after it whose sample is taken,
+/// stores that sample's position in `p` and returns true; returns false
+/// once t_k reaches t_far. Without `coarse` every lattice point is taken.
+/// With it, point k is taken iff it lies inside [0,1]^3 and its leaf cell
+/// is occupied, and an empty leaf costs one jump across the shallowest
+/// empty `octree` node containing it — or across the leaf cell itself when
+/// `octree` is null (flat mode). Both modes therefore take exactly the same
+/// samples. Callers step past a taken sample with ++m.k.
+bool AdvanceToOccupied(const CoarseOccupancy* coarse,
+                       const OccupancyOctree* octree, LatticeMarch& m,
+                       Vec3f& p, SkipShard* shard = nullptr);
 
 }  // namespace render_detail
 

@@ -13,7 +13,7 @@ namespace spnerf {
 /// Per-frame SGPU activity (scaled from decode/render counters).
 struct SgpuActivity {
   u64 samples = 0;            // interpolated sample points
-  u64 coarse_skip_probes = 0; // bitmap-only probes on skipped supervoxels
+  u64 coarse_skip_probes = 0; // one BLU probe per empty-space jump
   u64 vertex_lookups = 0;     // 8 per sample
   u64 bitmap_zero = 0;        // lookups answered by the bitmap alone
   u64 hash_lookups = 0;       // lookups that proceeded to the HMU

@@ -21,7 +21,7 @@ struct FrameWorkload {
 
   u64 rays = 0;
   u64 samples = 0;       // fine samples (8 vertex lookups each)
-  u64 coarse_skips = 0;  // bitmap-only supervoxel probes
+  u64 coarse_skips = 0;  // empty-space jumps, one BLU probe each
   u64 mlp_evals = 0;
 
   // Resident data-structure sizes (from the SpNeRF model).

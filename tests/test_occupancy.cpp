@@ -77,17 +77,6 @@ TEST(CoarseOccupancy, WorldQueries) {
   EXPECT_FALSE(c.OccupiedAtWorld({-0.1f, 0.5f, 0.5f}));
 }
 
-TEST(CoarseOccupancy, CellBoundsPartitionUnitCube) {
-  const BitGrid fine(GridDims{16, 16, 16});
-  const CoarseOccupancy c = CoarseOccupancy::Build(fine, 4);  // 4^3 cells
-  const Aabb first = c.CellBounds({0, 0, 0});
-  const Aabb last = c.CellBounds({3, 3, 3});
-  EXPECT_EQ(first.lo, (Vec3f{0.f, 0.f, 0.f}));
-  EXPECT_FLOAT_EQ(first.hi.x, 0.25f);
-  EXPECT_FLOAT_EQ(last.lo.x, 0.75f);
-  EXPECT_EQ(last.hi, (Vec3f{1.f, 1.f, 1.f}));
-}
-
 TEST(CoarseOccupancy, CellOfWorldClampsToGrid) {
   const BitGrid fine(GridDims{16, 16, 16});
   const CoarseOccupancy c = CoarseOccupancy::Build(fine, 4);

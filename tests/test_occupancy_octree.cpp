@@ -1,9 +1,9 @@
 // Occupancy-octree tests: build/reduction invariants (parent bit == OR of
 // children at every level, leaf level bit-identical to CoarseOccupancy,
 // dilation preserved through the pyramid), the shallowest-empty-ancestor
-// query, and the DDA skip chain's bit-exactness against a brute-force
-// replay of the flat reference chain on random, axis-aligned, diagonal and
-// boundary-origin rays.
+// query, and the lattice advance of both skip modes against a brute-force
+// enumeration of the lattice on random, axis-aligned, diagonal,
+// boundary-origin, cell-face and sub-epsilon-direction rays.
 #include "grid/occupancy_octree.hpp"
 
 #include <gtest/gtest.h>
@@ -41,26 +41,6 @@ TEST(OccupancyOctree, LeafLevelIsBitIdenticalToCoarse) {
   EXPECT_EQ(tree.Factor(), coarse.Factor());
   EXPECT_EQ(tree.LeafDims(), coarse.CoarseDims());
   EXPECT_EQ(tree.LeafBits().Words(), coarse.Bits().Words());
-}
-
-TEST(OccupancyOctree, BoundaryTablesMatchCellBoundsBitwise) {
-  // The marcher replaces the CellBounds divisions with these table loads;
-  // bit-exactness of the whole render hinges on every entry being the
-  // exact division result.
-  const OccupancyOctree tree = OccupancyOctree::Build(RandomCoarse());
-  const GridDims& d = tree.LeafDims();
-  for (int i = 0; i <= d.nx; ++i) {
-    ASSERT_EQ(tree.BoundaryX()[i],
-              static_cast<float>(i) / static_cast<float>(d.nx));
-  }
-  for (int i = 0; i <= d.ny; ++i) {
-    ASSERT_EQ(tree.BoundaryY()[i],
-              static_cast<float>(i) / static_cast<float>(d.ny));
-  }
-  for (int i = 0; i <= d.nz; ++i) {
-    ASSERT_EQ(tree.BoundaryZ()[i],
-              static_cast<float>(i) / static_cast<float>(d.nz));
-  }
 }
 
 TEST(OccupancyOctree, ParentBitIsOrOfChildrenAtEveryLevel) {
@@ -131,12 +111,12 @@ TEST(OccupancyOctree, EmptySceneReducesToEmptyRoot) {
       CoarseOccupancy::Build(BitGrid(GridDims{40, 40, 40}), 4);
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
   EXPECT_FALSE(tree.Level(0).Test(Vec3i{0, 0, 0}));
-  OctreeRayCache cache;
-  ASSERT_TRUE(tree.FindEmptyNode(Vec3i{3, 7, 9}, cache));
+  OctreeNode node;
+  ASSERT_TRUE(tree.FindEmptyNode(Vec3i{3, 7, 9}, node));
   // The root is the shallowest empty node and covers the whole grid.
-  EXPECT_EQ(cache.level, 0);
-  EXPECT_EQ(cache.lo, (Vec3i{0, 0, 0}));
-  EXPECT_EQ(cache.hi, (Vec3i{10, 10, 10}));
+  EXPECT_EQ(node.level, 0);
+  EXPECT_EQ(node.lo, (Vec3i{0, 0, 0}));
+  EXPECT_EQ(node.hi, (Vec3i{10, 10, 10}));
 }
 
 TEST(OccupancyOctree, FromLevelsRejectsBrokenReduction) {
@@ -162,23 +142,23 @@ TEST(OccupancyOctree, FindsShallowestEmptyAncestor) {
     for (int y = 0; y < ld.ny; ++y) {
       for (int z = 0; z < ld.nz; ++z) {
         const Vec3i c{x, y, z};
-        OctreeRayCache cache;
-        const bool empty = tree.FindEmptyNode(c, cache);
+        OctreeNode node;
+        const bool empty = tree.FindEmptyNode(c, node);
         ASSERT_EQ(empty, !coarse.Bits().Test(c));
         if (!empty) continue;
-        ASSERT_TRUE(cache.Covers(c));
+        ASSERT_TRUE(node.Contains(c));
         // The node's whole leaf range is empty...
-        for (int i = cache.lo.x; i < cache.hi.x; ++i) {
-          for (int j = cache.lo.y; j < cache.hi.y; ++j) {
-            for (int k = cache.lo.z; k < cache.hi.z; ++k) {
+        for (int i = node.lo.x; i < node.hi.x; ++i) {
+          for (int j = node.lo.y; j < node.hi.y; ++j) {
+            for (int k = node.lo.z; k < node.hi.z; ++k) {
               ASSERT_FALSE(coarse.Bits().Test(Vec3i{i, j, k}));
             }
           }
         }
         // ...and it is the shallowest: the parent node (if any) is occupied.
-        if (cache.level > 0) {
-          const int shift = leaf - (cache.level - 1);
-          EXPECT_TRUE(tree.Level(cache.level - 1)
+        if (node.level > 0) {
+          const int shift = leaf - (node.level - 1);
+          EXPECT_TRUE(tree.Level(node.level - 1)
                           .Test(Vec3i{x >> shift, y >> shift, z >> shift}));
         }
       }
@@ -186,170 +166,204 @@ TEST(OccupancyOctree, FindsShallowestEmptyAncestor) {
   }
 }
 
-TEST(OccupancyOctree, OccupiedAtAgreesWithLeafBitsEverywhere) {
-  const CoarseOccupancy coarse = RandomCoarse(60, 21);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  const GridDims& ld = tree.LeafDims();
-  OctreeRayCache cache;  // deliberately reused across cells, like a ray does
-  for (int x = 0; x < ld.nx; ++x) {
-    for (int y = 0; y < ld.ny; ++y) {
-      for (int z = 0; z < ld.nz; ++z) {
-        const Vec3i c{x, y, z};
-        ASSERT_EQ(tree.OccupiedAt(c, cache), coarse.Bits().Test(c))
-            << x << "," << y << "," << z;
-      }
-    }
+
+// ------------------------------------------- lattice advance vs oracle --
+
+/// The lattice indices the sample rule takes, by brute force: every k with
+/// t_k < t_far whose point is inside [0,1]^3 with an occupied leaf cell.
+std::vector<u32> OracleSamples(const CoarseOccupancy& coarse,
+                               const render_detail::LatticeMarch& m) {
+  std::vector<u32> taken;
+  for (u32 k = 0; m.T(k) < m.t_far; ++k) {
+    if (coarse.OccupiedAtWorld(m.Point(k))) taken.push_back(k);
   }
+  return taken;
 }
 
-// ------------------------------------------------- DDA chain bit-exactness --
-
-/// One step of the flat reference chain (volume_renderer's oracle path).
-float FlatStep(const CoarseOccupancy& coarse, const Ray& ray, float t,
-               float step, bool& occupied) {
-  const Vec3f p = ray.At(t);
-  if (coarse.OccupiedAtWorld(p)) {
-    occupied = true;
-    return t;
+/// The lattice indices AdvanceToOccupied takes, walked the way the
+/// marchers walk it; adds the walk's jumps to `jumps`.
+std::vector<u32> AdvanceSamples(const CoarseOccupancy& coarse,
+                                const OccupancyOctree* octree,
+                                render_detail::LatticeMarch m, u64& jumps) {
+  std::vector<u32> taken;
+  Vec3f p;
+  while (render_detail::AdvanceToOccupied(&coarse, octree, m, p)) {
+    EXPECT_EQ(p, m.Point(m.k));  // the position is the lattice point's
+    taken.push_back(m.k);
+    ++m.k;
   }
-  occupied = false;
-  const Aabb cell = coarse.CellBounds(coarse.CellOfWorld(p));
-  const float exit_t = render_detail::CellExitT(ray, cell, t);
-  return std::max(exit_t + render_detail::kSkipForwardEpsilon, t + step);
+  jumps += m.jumps;
+  return taken;
 }
 
-/// One step of the octree DDA chain (cache + CellExitTDda).
-float OctreeStep(const CoarseOccupancy& coarse, const OccupancyOctree& tree,
-                 const Ray& ray, float t, float step, OctreeRayCache& cache,
-                 bool& occupied) {
-  const Vec3f p = ray.At(t);
-  const bool inside = !(p.x < 0.f || p.x > 1.f || p.y < 0.f || p.y > 1.f ||
-                        p.z < 0.f || p.z > 1.f);
-  const Vec3i cell = coarse.CellOfWorld(p);
-  if (inside && tree.OccupiedAt(cell, cache)) {
-    occupied = true;
-    return t;
-  }
-  occupied = false;
-  const float exit_t =
-      render_detail::CellExitTDda(ray, cell, tree.LeafDims(), t);
-  return std::max(exit_t + render_detail::kSkipForwardEpsilon, t + step);
-}
-
-/// Marches `ray` through both chains in lockstep across the whole box and
-/// demands bitwise-equal t values, identical cell walks and identical
-/// occupancy verdicts at every step.
-void ExpectChainsIdentical(const CoarseOccupancy& coarse,
-                           const OccupancyOctree& tree, const Ray& ray,
-                           float step = 0.003f) {
+/// Walks `ray` in both skip modes and demands the oracle's sample set
+/// from each; accumulates the jumps each mode took.
+void ExpectOracleSamples(const CoarseOccupancy& coarse,
+                         const OccupancyOctree& tree, const Ray& ray,
+                         float step, u64& flat_jumps, u64& tree_jumps) {
   const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
-  float t_near = 0.f, t_far = 0.f;
-  if (!IntersectAabb(ray, box, t_near, t_far)) return;
-  float t_flat = t_near;
-  float t_tree = t_near;
-  OctreeRayCache cache;
-  int steps = 0;
-  while (t_flat < t_far) {
-    ASSERT_EQ(t_flat, t_tree) << "chains diverged after " << steps << " steps";
-    ASSERT_EQ(coarse.CellOfWorld(ray.At(t_flat)),
-              coarse.CellOfWorld(ray.At(t_tree)));
-    bool occ_flat = false, occ_tree = false;
-    t_flat = FlatStep(coarse, ray, t_flat, step, occ_flat);
-    t_tree = OctreeStep(coarse, tree, ray, t_tree, step, cache, occ_tree);
-    ASSERT_EQ(occ_flat, occ_tree) << "occupancy verdicts diverged at t=" << t_flat;
-    if (occ_flat) {
-      // Both chains sample here; advance past it the way the marcher does.
-      t_flat += step;
-      t_tree += step;
-    }
-    ASSERT_LT(++steps, 100000) << "skip chain failed to progress";
-  }
-  EXPECT_GE(t_tree, t_far);
+  render_detail::LatticeMarch m;
+  m.ray = ray;
+  m.step = step;
+  if (!IntersectAabb(ray, box, m.t_near, m.t_far)) return;
+  const std::vector<u32> expect = OracleSamples(coarse, m);
+  EXPECT_EQ(AdvanceSamples(coarse, nullptr, m, flat_jumps), expect)
+      << "flat, origin " << ray.origin << " direction " << ray.direction;
+  EXPECT_EQ(AdvanceSamples(coarse, &tree, m, tree_jumps), expect)
+      << "octree, origin " << ray.origin << " direction " << ray.direction;
 }
 
-TEST(OctreeDda, CellExitTDdaMatchesCellExitTBitwise) {
-  const CoarseOccupancy coarse = RandomCoarse();
-  const GridDims& ld = coarse.CoarseDims();
-  Rng rng(33);
-  for (int i = 0; i < 2000; ++i) {
-    Ray ray;
-    ray.origin = Vec3f{rng.Uniform(-0.3f, 1.3f), rng.Uniform(-0.3f, 1.3f),
-                       rng.Uniform(-0.3f, 1.3f)};
-    ray.direction = Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
-                          rng.Uniform(-1.f, 1.f)};
-    if (i % 5 == 0) ray.direction.x = 0.f;   // axis-degenerate components
-    if (i % 7 == 0) ray.direction.y = 0.f;
-    const Vec3i cell{rng.UniformInt(0, ld.nx - 1), rng.UniformInt(0, ld.ny - 1),
-                     rng.UniformInt(0, ld.nz - 1)};
-    const float t = rng.Uniform(0.f, 2.f);
-    const float expect =
-        render_detail::CellExitT(ray, coarse.CellBounds(cell), t);
-    const float got = render_detail::CellExitTDda(ray, cell, ld, t);
-    ASSERT_EQ(expect, got) << "ray " << i;
-  }
-}
-
-TEST(OctreeDda, RandomRaysWalkIdenticallyToFlat) {
-  const CoarseOccupancy coarse = RandomCoarse(30, 91);
+/// Runs a ray family through ExpectOracleSamples at a fine and a coarse
+/// step; the octree never needs more jumps than flat in total.
+template <typename RayAt>
+void ExpectFamilyMatchesOracle(const CoarseOccupancy& coarse, int rays,
+                               RayAt ray_at) {
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  for (const float step : {0.003f, 0.0173f}) {
+    u64 flat_jumps = 0, tree_jumps = 0;
+    for (int i = 0; i < rays; ++i) {
+      ExpectOracleSamples(coarse, tree, ray_at(i), step, flat_jumps,
+                          tree_jumps);
+    }
+    EXPECT_GT(flat_jumps, 0u) << "step " << step;
+    EXPECT_LE(tree_jumps, flat_jumps) << "step " << step;
+  }
+}
+
+TEST(LatticeAdvance, RandomRaysTakeTheOracleSamples) {
   Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
+  ExpectFamilyMatchesOracle(RandomCoarse(30, 91), 200, [&](int) {
     Ray ray;
     ray.origin = Vec3f{rng.Uniform(-0.5f, 1.5f), rng.Uniform(-0.5f, 1.5f),
                        rng.Uniform(-0.5f, 1.5f)};
-    ray.direction =
-        (Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
-                        rng.Uniform(-1.f, 1.f)});
-    ExpectChainsIdentical(coarse, tree, ray);
-  }
+    ray.direction = Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
+                          rng.Uniform(-1.f, 1.f)};
+    return ray;
+  });
 }
 
-TEST(OctreeDda, AxisAlignedRaysWalkIdenticallyToFlat) {
-  const CoarseOccupancy coarse = RandomCoarse(50, 13);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  for (int axis = 0; axis < 3; ++axis) {
-    for (int sign = -1; sign <= 1; sign += 2) {
-      Vec3f dir{0.f, 0.f, 0.f};
-      dir[axis] = static_cast<float>(sign);
-      Rng rng(static_cast<u64>(100 + axis * 2 + sign));
-      for (int i = 0; i < 30; ++i) {
-        Ray ray;
-        ray.origin = Vec3f{rng.Uniform(0.f, 1.f), rng.Uniform(0.f, 1.f),
-                           rng.Uniform(0.f, 1.f)};
-        ray.origin[axis] = sign > 0 ? -0.2f : 1.2f;
-        ray.direction = dir;
-        ExpectChainsIdentical(coarse, tree, ray);
-      }
-    }
-  }
+TEST(LatticeAdvance, AxisAlignedRaysTakeTheOracleSamples) {
+  Rng rng(100);
+  ExpectFamilyMatchesOracle(RandomCoarse(50, 13), 180, [&](int i) {
+    const int axis = i % 3;
+    const float sign = (i / 3) % 2 == 0 ? 1.f : -1.f;
+    Ray ray;
+    ray.origin = Vec3f{rng.Uniform(0.f, 1.f), rng.Uniform(0.f, 1.f),
+                       rng.Uniform(0.f, 1.f)};
+    ray.origin[axis] = sign > 0.f ? -0.2f : 1.2f;
+    ray.direction = Vec3f{0.f, 0.f, 0.f};
+    ray.direction[axis] = sign;
+    return ray;
+  });
 }
 
-TEST(OctreeDda, DiagonalAndBoundaryOriginRaysWalkIdenticallyToFlat) {
+TEST(LatticeAdvance, DiagonalAndBoundaryOriginRaysTakeTheOracleSamples) {
   const CoarseOccupancy coarse = RandomCoarse(45, 77);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
   // Exact corner-to-corner diagonals.
-  for (const Vec3f d : {Vec3f{1.f, 1.f, 1.f}, Vec3f{1.f, -1.f, 1.f},
-                        Vec3f{-1.f, 1.f, 1.f}, Vec3f{1.f, 1.f, -1.f}}) {
+  const Vec3f diagonals[] = {Vec3f{1.f, 1.f, 1.f}, Vec3f{1.f, -1.f, 1.f},
+                             Vec3f{-1.f, 1.f, 1.f}, Vec3f{1.f, 1.f, -1.f}};
+  ExpectFamilyMatchesOracle(coarse, 4, [&](int i) {
+    const Vec3f d = diagonals[i];
     Ray ray;
     ray.origin = Vec3f{d.x > 0 ? -0.1f : 1.1f, d.y > 0 ? -0.1f : 1.1f,
                        d.z > 0 ? -0.1f : 1.1f};
     ray.direction = d.Normalized();
-    ExpectChainsIdentical(coarse, tree, ray);
-  }
+    return ray;
+  });
   // Origins exactly on cell boundaries (t_near = 0 lands on a face).
+  const GridDims& ld = coarse.CoarseDims();
   Rng rng(3);
-  for (int i = 0; i < 40; ++i) {
+  ExpectFamilyMatchesOracle(coarse, 40, [&](int) {
     Ray ray;
-    const GridDims& ld = coarse.CoarseDims();
     ray.origin = Vec3f{
         static_cast<float>(rng.UniformInt(0, ld.nx)) / static_cast<float>(ld.nx),
         static_cast<float>(rng.UniformInt(0, ld.ny)) / static_cast<float>(ld.ny),
         static_cast<float>(rng.UniformInt(0, ld.nz)) / static_cast<float>(ld.nz)};
-    ray.direction =
-        (Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
-                        rng.Uniform(-1.f, 1.f)});
-    ExpectChainsIdentical(coarse, tree, ray);
+    ray.direction = Vec3f{rng.Uniform(-1.f, 1.f), rng.Uniform(-1.f, 1.f),
+                          rng.Uniform(-1.f, 1.f)};
+    return ray;
+  });
+}
+
+TEST(LatticeAdvance, CellFaceAndSubEpsilonRaysTakeTheOracleSamples) {
+  // Rays riding exactly in a cell-face plane (their y never changes, or
+  // changes by less than kDegenerateDirectionEpsilon per unit t, so no
+  // jump takes an exit plane from y): every point sits on the face, and
+  // the jumps must still land on the oracle's samples and make progress.
+  const CoarseOccupancy coarse = RandomCoarse(60, 29);
+  const GridDims& ld = coarse.CoarseDims();
+  const float dys[] = {0.f, 1e-13f, -1e-13f};
+  Rng rng(41);
+  ExpectFamilyMatchesOracle(coarse, 3 * 2 * 20, [&](int i) {
+    Ray ray;
+    const float face =
+        static_cast<float>(rng.UniformInt(0, ld.ny)) / static_cast<float>(ld.ny);
+    ray.origin = Vec3f{-0.1f, face, rng.Uniform(0.f, 1.f)};
+    const float dz = (i / 3) % 2 == 0 ? 0.f : rng.Uniform(-0.5f, 0.5f);
+    ray.direction = Vec3f{1.f, dys[i % 3], dz};
+    return ray;
+  });
+}
+
+TEST(LatticeAdvance, OvershootingExitEstimatesStepBack) {
+  // Rays on which a jump's rounded exit distance lands one lattice point
+  // past the first point outside the node: that point is occupied, so
+  // without the step-back each ray misses one sample. Found by random
+  // search over this grid at this step.
+  const CoarseOccupancy coarse =
+      CoarseOccupancy::Build(RandomFine({40, 40, 40}, 1500, 7), 1);
+  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  const Ray rays[] = {
+      {{0x1.786ddcp+0f, 0x1.18ff8p-5f, 0x1.23108p-6f},
+       {-0x1.dcd7dp-1f, 0x1.e9d154p-1f, 0x1.5dace4p-1f}},
+      {{-0x1.21f5fap-2f, -0x1.d3ed6cp-3f, 0x1.2ccc8p-1f},
+       {0x1.349cb8p-2f, 0x1.26c6dp-1f, 0x1.7ca82p-4f}},
+      {{0x1.0769d4p-2f, 0x1.28475cp-1f, 0x1.087fecp-1f},
+       {0x1.5dfb08p-2f, 0x1.44f2dp-2f, 0x1.0f2668p-1f}},
+  };
+  u64 flat_jumps = 0, tree_jumps = 0;
+  for (const Ray& ray : rays) {
+    ExpectOracleSamples(coarse, tree, ray, 0x1.0624dep-10f, flat_jumps,
+                        tree_jumps);
   }
+}
+
+TEST(LatticeAdvance, EmptySceneIsCrossedInOneOctreeJump) {
+  // The octree's root is empty: one jump crosses the whole box, where the
+  // flat mode pays one jump per leaf cell on the way.
+  const CoarseOccupancy coarse =
+      CoarseOccupancy::Build(BitGrid(GridDims{40, 40, 40}), 4);
+  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
+  render_detail::LatticeMarch m;
+  m.ray = Ray{{-0.5f, 0.31f, 0.62f}, Vec3f{1.f, 0.2f, -0.1f}.Normalized()};
+  m.step = 0.003f;
+  ASSERT_TRUE(IntersectAabb(m.ray, box, m.t_near, m.t_far));
+  u64 flat_jumps = 0, tree_jumps = 0;
+  EXPECT_TRUE(AdvanceSamples(coarse, nullptr, m, flat_jumps).empty());
+  EXPECT_TRUE(AdvanceSamples(coarse, &tree, m, tree_jumps).empty());
+  EXPECT_EQ(tree_jumps, 1u);
+  EXPECT_GE(flat_jumps, 10u);  // at least one per leaf cell along x
+}
+
+TEST(LatticeAdvance, NoSkipStructureTakesEveryLatticePoint) {
+  const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
+  render_detail::LatticeMarch m;
+  m.ray = Ray{{-0.5f, 0.31f, 0.62f}, Vec3f{1.f, 0.2f, -0.1f}.Normalized()};
+  m.step = 0.003f;
+  ASSERT_TRUE(IntersectAabb(m.ray, box, m.t_near, m.t_far));
+  std::vector<u32> taken;
+  Vec3f p;
+  while (render_detail::AdvanceToOccupied(nullptr, nullptr, m, p)) {
+    taken.push_back(m.k++);
+  }
+  ASSERT_FALSE(taken.empty());
+  for (std::size_t i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(taken[i], static_cast<u32>(i));
+  }
+  EXPECT_LT(m.T(taken.back()), m.t_far);
+  EXPECT_GE(m.T(taken.back() + 1), m.t_far);
+  EXPECT_EQ(m.jumps, 0u);
 }
 
 }  // namespace

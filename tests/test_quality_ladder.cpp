@@ -1,6 +1,6 @@
 // Quality-ladder suite: the rung specs and ApplyRung contract
-// (render/quality.hpp), the deterministic bilinear upsample, the capped
-// octree skip probe, the QualityGovernor policy (load floors, pressure
+// (render/quality.hpp), the deterministic bilinear upsample, the
+// QualityGovernor policy (load floors, pressure
 // window, deadline fit, cost-model fallbacks) and the service-level
 // determinism contracts — a staged backlog replays the identical rung
 // sequence across dispatch modes and worker counts, and an unloaded
@@ -18,7 +18,6 @@
 #include "common/dispatch.hpp"
 #include "common/image.hpp"
 #include "core/pipeline.hpp"
-#include "render/field_source.hpp"
 #include "render/quality.hpp"
 #include "render/volume_renderer.hpp"
 #include "serve/load_generator.hpp"
@@ -80,12 +79,10 @@ TEST(QualityRungs, RungZeroLeavesEveryKnobUntouched) {
   RenderOptions base;
   base.step_size = 0.0123f;
   base.termination_transmittance = 0.004f;
-  base.octree_level_cap = 0;
   const RenderOptions applied = ApplyRung(base, QualityRung::kFull);
   EXPECT_EQ(applied.step_size, base.step_size);
   EXPECT_EQ(applied.termination_transmittance,
             base.termination_transmittance);
-  EXPECT_EQ(applied.octree_level_cap, 0);
   EXPECT_EQ(RungResolutionDivisor(QualityRung::kFull), 1);
 }
 
@@ -104,16 +101,16 @@ TEST(QualityRungs, HigherRungsOnlyEverCheapenTheRender) {
     EXPECT_GE(o.step_size, prev_step) << "rung " << q;
     EXPECT_GE(o.termination_transmittance, base.termination_transmittance)
         << "rung " << q;
-    EXPECT_GE(o.octree_level_cap, 0) << "rung " << q;
     EXPECT_GE(RungResolutionDivisor(rung), 1) << "rung " << q;
     EXPECT_LT(RungCostScale(rung), prev_cost) << "rung " << q;
     prev_step = o.step_size;
     prev_cost = RungCostScale(rung);
   }
-  // The preview rung engages all three mechanisms.
+  // The preview rung: 4x step, termination floor, quarter resolution.
   const RungSpec& preview = RungSpecFor(QualityRung::kPreview);
+  EXPECT_EQ(preview.step_scale, 4.0f);
+  EXPECT_GT(preview.min_termination_transmittance, 0.0f);
   EXPECT_EQ(preview.resolution_divisor, 4);
-  EXPECT_GT(preview.octree_level_cap, 0);
 }
 
 TEST(QualityRungs, TerminationFloorNeverExtendsAMarch) {
@@ -288,39 +285,6 @@ TEST(QualityGovernorPolicy, ObserveRefinesWithEwmaUnlessFrozen) {
   frozen.SeedCost("k", 10.0);
   frozen.Observe("k", QualityRung::kFull, 500.0);  // must be a no-op
   EXPECT_DOUBLE_EQ(frozen.PredictMs("k", QualityRung::kFull), 10.0);
-}
-
-// ---------------------------------------- capped octree skip probe ----
-
-TEST_F(QualityLadderTest, CappedOctreeProbeRendersDeterministicallyClose) {
-  // The preview rung's level-capped skip probe is conservative (a parent
-  // bit ORs its children, so occupied content is never skipped): the
-  // capped render must stay deterministic and close to the exact-leaf
-  // render — degraded sampling positions, not missing geometry.
-  const RenderRequest req = SmallRequest();
-  const std::shared_ptr<const ScenePipeline> pipeline =
-      repository_.Acquire(req.config);
-  SpNeRFFieldSource source(pipeline->Codec(), req.config.render.fp16_mlp);
-  const auto render = [&](int level_cap) {
-    RenderJob job;
-    job.source = &source;
-    job.mlp = &pipeline->GetMlp();
-    job.camera = pipeline->MakeCamera(24, 24, 0, req.n_views);
-    job.options = pipeline->RenderOptionsWithSkip();
-    job.options.octree_level_cap = level_cap;
-    return RenderEngine(RenderEngineOptions{}).RenderBatch({job})
-        .front()
-        .image;
-  };
-  const Image exact = render(0);
-  const Image capped = render(2);
-  const Image capped_again = render(2);
-  ASSERT_EQ(capped.Pixels().size(), exact.Pixels().size());
-  EXPECT_EQ(capped.Pixels(), capped_again.Pixels());  // deterministic
-  // Close, not bit-identical: the capped chain samples at different t
-  // positions. 20 dB on a 24x24 frame is far above what missing geometry
-  // would leave and far below bit-identity.
-  EXPECT_GT(Psnr(exact, capped), 20.0);
 }
 
 // ------------------------------------------- service-level ladder ----

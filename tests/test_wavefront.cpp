@@ -1,8 +1,14 @@
 // Differential suite for the wavefront (batched) sampling path: images,
 // RenderStats and DecodeCounters must be BIT-identical to the scalar
 // per-ray reference for every field source, fp16 mode and worker count —
-// the wavefront refactor is execution policy, never semantics.
+// the wavefront refactor is execution policy, never semantics. The same
+// holds across empty-space-skip modes (all but the jump count), and every
+// marcher takes exactly the lattice samples a brute-force oracle takes.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <mutex>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
@@ -11,6 +17,7 @@
 #include "render/field_source.hpp"
 #include "render/render_engine.hpp"
 #include "render/skip_mode.hpp"
+#include "render/volume_renderer.hpp"
 #include "scene/dataset.hpp"
 
 namespace spnerf {
@@ -58,15 +65,19 @@ void ExpectSameRunningStats(const RunningStats& a, const RunningStats& b) {
   EXPECT_EQ(a.Sum(), b.Sum());
 }
 
-void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
+void ExpectSameStatsButSkips(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.rays, b.rays);
   EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.coarse_skips, b.coarse_skips);
   EXPECT_EQ(a.mlp_evals, b.mlp_evals);
   EXPECT_EQ(a.terminated_rays, b.terminated_rays);
   EXPECT_EQ(a.missed_rays, b.missed_rays);
   ExpectSameRunningStats(a.steps_per_ray, b.steps_per_ray);
   ExpectSameRunningStats(a.evals_per_ray, b.evals_per_ray);
+}
+
+void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
+  ExpectSameStatsButSkips(a, b);
+  EXPECT_EQ(a.coarse_skips, b.coarse_skips);
 }
 
 void ExpectSameCounters(const DecodeCounters& a, const DecodeCounters& b) {
@@ -115,18 +126,22 @@ class WavefrontTest : public ::testing::Test {
     dataset_ = nullptr;
   }
 
+  /// Camera partially off-box so missed rays exercise the miss path, with
+  /// a 48x48 image over 32px tiles so tiles of both partial and full size
+  /// reduce.
+  static Camera TestCamera() {
+    return Camera({-1.2f, 0.9f, 0.4f}, {0.5f, 0.45f, 0.5f}, {0.f, 1.f, 0.f},
+                  55.f, 48, 48);
+  }
+
   /// Renders one stats-on view of `source` through the tile engine.
   static RenderResult RenderWith(const FieldSource& source, bool wavefront,
                                  bool fp16_mlp, unsigned workers,
                                  bool with_skip = true) {
-    // Camera partially off-box so missed rays exercise the miss path, with
-    // a 48x48 image over 32px tiles so tiles of both partial and full size
-    // reduce.
     RenderJob job;
     job.source = &source;
     job.mlp = mlp_;
-    job.camera = Camera({-1.2f, 0.9f, 0.4f}, {0.5f, 0.45f, 0.5f},
-                        {0.f, 1.f, 0.f}, 55.f, 48, 48);
+    job.camera = TestCamera();
     job.options.wavefront = wavefront;
     job.options.fp16_mlp = fp16_mlp;
     if (with_skip) {
@@ -156,10 +171,11 @@ class WavefrontTest : public ::testing::Test {
     }
   }
 
-  /// Octree-vs-flat differential for one source: the octree marcher must
-  /// replay the flat skip chain bit-for-bit, so images, RenderStats
-  /// (including coarse_skips/steps) and DecodeCounters match EXACTLY
-  /// against the flat scalar reference for every execution policy.
+  /// Octree-vs-flat differential for one source: both modes take the same
+  /// lattice samples, so images, RenderStats (all but coarse_skips, which
+  /// counts jumps) and DecodeCounters match EXACTLY against the flat scalar
+  /// reference for every execution policy, and the octree never needs more
+  /// jumps than flat.
   static void RunSkipDifferential(const FieldSource& source) {
     for (const bool fp16 : {false, true}) {
       RenderResult flat;
@@ -176,10 +192,32 @@ class WavefrontTest : public ::testing::Test {
                        " wavefront=" + (wavefront ? "1" : "0") +
                        " workers=" + std::to_string(workers));
           ExpectSameImage(flat.image, tree.image);
-          ExpectSameStats(flat.stats, tree.stats);
+          ExpectSameStatsButSkips(flat.stats, tree.stats);
+          EXPECT_LE(tree.stats.coarse_skips, flat.stats.coarse_skips);
           ExpectSameCounters(flat.counters, tree.counters);
         }
       }
+    }
+  }
+
+  /// Skipping is a pure performance choice: an octree-skipped render has
+  /// the pixels, MLP evals and terminations of the unskipped render (the
+  /// dropped lattice points lie in empty leaf cells, whose samples carry no
+  /// density); only steps, jumps and decode activity shrink.
+  static void RunSkipOffDifferential(const FieldSource& source) {
+    const RenderResult off = RenderWith(source, /*wavefront=*/false,
+                                        /*fp16_mlp=*/false, 1,
+                                        /*with_skip=*/false);
+    EXPECT_GT(off.stats.mlp_evals, 0u);
+    const ScopedSkipMode g(skip::Mode::kOctree);
+    for (const bool wavefront : {false, true}) {
+      const RenderResult tree =
+          RenderWith(source, wavefront, /*fp16_mlp=*/false, 2);
+      SCOPED_TRACE(std::string("wavefront=") + (wavefront ? "1" : "0"));
+      ExpectSameImage(off.image, tree.image);
+      EXPECT_EQ(off.stats.mlp_evals, tree.stats.mlp_evals);
+      EXPECT_EQ(off.stats.terminated_rays, tree.stats.terminated_rays);
+      EXPECT_LT(tree.stats.steps, off.stats.steps);
     }
   }
 
@@ -236,6 +274,103 @@ TEST_F(WavefrontTest, OctreeSkipSpNeRFBitIdentical) {
   RunSkipDifferential(source);
 }
 
+/// A zero-density source that records every position it samples, so a
+/// render's sample set can be checked against the lattice oracle. Nothing
+/// is ever opaque, so no ray terminates and every ray takes its whole set.
+class RecordingSource final : public FieldSource {
+ public:
+  using FieldSource::Sample;
+  [[nodiscard]] FieldSample Sample(Vec3f world) const override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    seen_.push_back(world);
+    return {};
+  }
+  void SampleBatch(std::span<const Vec3f> positions,
+                   std::span<FieldSample> out,
+                   DecodeCounters* /*counters*/) const override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    seen_.insert(seen_.end(), positions.begin(), positions.end());
+    std::fill(out.begin(), out.end(), FieldSample{});
+  }
+  [[nodiscard]] const char* Name() const override { return "recording"; }
+
+  /// Every position sampled so far, sorted; clears the record.
+  std::vector<Vec3f> TakeSorted() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::vector<Vec3f> out;
+    out.swap(seen_);
+    std::sort(out.begin(), out.end(), LessXyz);
+    return out;
+  }
+
+  static bool LessXyz(Vec3f a, Vec3f b) {
+    return std::tie(a.x, a.y, a.z) < std::tie(b.x, b.y, b.z);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<Vec3f> seen_;
+};
+
+TEST_F(WavefrontTest, EveryMarcherTakesTheLatticeOracleSamples) {
+  // Brute-force oracle over the test camera's rays: every lattice point
+  // t_k = t_near + k * step with t_k < t_far whose point is inside the box
+  // with an occupied leaf cell.
+  const RenderOptions defaults;
+  const Camera camera = TestCamera();
+  const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
+  std::vector<Vec3f> expect;
+  for (int y = 0; y < camera.Height(); ++y) {
+    for (int x = 0; x < camera.Width(); ++x) {
+      render_detail::LatticeMarch m;
+      m.ray = camera.PixelRay(x, y);
+      m.step = defaults.step_size;
+      if (!IntersectAabb(m.ray, box, m.t_near, m.t_far)) continue;
+      for (u32 k = 0; m.T(k) < m.t_far; ++k) {
+        if (occupancy_->OccupiedAtWorld(m.Point(k))) {
+          expect.push_back(m.Point(k));
+        }
+      }
+    }
+  }
+  std::sort(expect.begin(), expect.end(), RecordingSource::LessXyz);
+  ASSERT_FALSE(expect.empty());
+
+  RecordingSource source;
+  for (const skip::Mode mode : {skip::Mode::kFlat, skip::Mode::kOctree}) {
+    const ScopedSkipMode g(mode);
+    for (const bool wavefront : {false, true}) {
+      for (const unsigned workers : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::string(skip::ModeName(mode)) + " wavefront=" +
+                     (wavefront ? "1" : "0") +
+                     " workers=" + std::to_string(workers));
+        (void)RenderWith(source, wavefront, /*fp16_mlp=*/false, workers);
+        const std::vector<Vec3f> got = source.TakeSorted();
+        ASSERT_EQ(got.size(), expect.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(got[i], expect[i]) << "sample " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(WavefrontTest, SkipOffAnalyticPixelsIdentical) {
+  const AnalyticFieldSource source(dataset_->scene);
+  RunSkipOffDifferential(source);
+}
+
+TEST_F(WavefrontTest, SkipOffGridPixelsIdentical) {
+  const GridFieldSource source(dataset_->full_grid);
+  RunSkipOffDifferential(source);
+}
+
+TEST_F(WavefrontTest, SkipOffSpNeRFPixelsIdentical) {
+  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
+                                 /*collect_counters=*/false);
+  RunSkipOffDifferential(source);
+}
+
 TEST_F(WavefrontTest, OctreeSkipSimdPathsBitIdentical) {
   // The skip mode is orthogonal to the SIMD dispatch path: forcing either
   // SIMD path must leave the octree-vs-flat differential bit-identical.
@@ -255,7 +390,7 @@ TEST_F(WavefrontTest, OctreeSkipSimdPathsBitIdentical) {
     }
     SCOPED_TRACE(std::string("simd=") + simd::PathName(path));
     ExpectSameImage(flat.image, tree.image);
-    ExpectSameStats(flat.stats, tree.stats);
+    ExpectSameStatsButSkips(flat.stats, tree.stats);
     ExpectSameCounters(flat.counters, tree.counters);
   }
 }
@@ -274,8 +409,7 @@ TEST_F(WavefrontTest, OctreeModeWithoutOctreeFallsBackToFlat) {
     RenderJob job;
     job.source = &source;
     job.mlp = mlp_;
-    job.camera = Camera({-1.2f, 0.9f, 0.4f}, {0.5f, 0.45f, 0.5f},
-                        {0.f, 1.f, 0.f}, 55.f, 48, 48);
+    job.camera = TestCamera();
     job.options.wavefront = false;
     job.options.coarse_skip = occupancy_;  // octree_skip left null
     job.collect_stats = true;
