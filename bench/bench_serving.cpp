@@ -3,7 +3,7 @@
 // (p50/p95/p99 — aggregate and per priority class) and request outcomes
 // (completed/rejected/expired) to BENCH_serving.json.
 //
-// Three phases over a warm asset cache:
+// Phases over a warm asset cache:
 //   * unsaturated — offered load well below measured capacity. Nothing may
 //     be shed here; any rejection is a bug and fails the process (CI runs
 //     this as a smoke gate).
@@ -27,21 +27,21 @@
 //     max_inflight_batches=1 (the serial dispatcher) and once with the
 //     configured concurrency, to measure what overlapping distinct-key
 //     engine batches on one pool buys in throughput.
-//
-//   * batch-size-1 dispatch sweep — closed-loop single-request batches
-//     (max_batch=1, small frames) replayed under SPNF_DISPATCH=locked and
-//     =lockfree on fresh services. Small-batch serving is where
-//     per-request dispatch overhead is the largest slice of latency, so
-//     the throughput ratio (ratio/lockfree-vs-locked) is the lock-free
-//     admission path's headline number, and the lock-free p50
-//     submit->issue latency is recorded as serve/dispatch-overhead.
+//   * dispatch-overhead probe — strictly one small request (max_batch=1)
+//     in flight at a time, so the p50 submit->issue latency is pure
+//     dispatch cost (admission, dispatcher wakeup, issue); recorded as
+//     serve/dispatch-overhead.
+//   * tracing-overhead gate — a closed-loop window of single-request
+//     batches replayed at SPNF_TRACE=off, =counters and =full.
 //
 // Overrides: requests=N scenes=N res=R img=S threads=N capacity=N batch=N
 //            inflight=N (max_inflight_batches for the concurrent phases)
 //            seed=S rate=R (unsaturated offered rate in requests/s; the
 //            saturated phases always offer 32x the unsaturated rate.
 //            0 = derive both from measured closed-loop frame latency)
-//            dimg=S (dispatch-sweep frame size) drequests=N (its length)
+//            dimg=S (frame size of the probe and the tracing gate)
+//            drequests=N (length of the tracing gate's window; the probe
+//            sends a quarter of it, at least 32)
 #include <algorithm>
 #include <cstdio>
 #include <deque>
@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/dispatch.hpp"
 #include "core/pipeline.hpp"
 #include "obs/exporters.hpp"
 #include "render/field_source.hpp"
@@ -358,90 +357,15 @@ int main(int argc, char** argv) {
 
   bench::PrintRule();
 
-  // Batch-size-1 dispatch sweep: a closed-loop window of single-request
-  // batches on one hot scene, small frames, so per-request dispatch cost
-  // (admission, wakeup, issue) is the largest controllable slice. One
-  // fresh service per SPNF_DISPATCH mode — the mode is captured at
-  // construction — with bit-identical scheduling by construction, so the
-  // throughput delta is pure dispatch overhead.
   const auto dispatch_requests =
       static_cast<std::size_t>(args.GetInt("drequests", 300));
   const int dispatch_img = args.GetInt("dimg", 16);
-  double batch1_rps[2] = {0.0, 0.0};
-  const dispatch::Mode modes[2] = {dispatch::Mode::kLocked,
-                                   dispatch::Mode::kLockFree};
-  for (int m = 0; m < 2; ++m) {
-    const dispatch::Mode prev = dispatch::SetActiveMode(modes[m]);
-    const char* mode_name = dispatch::ModeName(modes[m]);
-    RenderServiceOptions opts = service_opts;
-    opts.max_batch = 1;
-    RenderService service(opts);
-    RenderRequest small = base;
-    small.config.scene_id = scenes.front();
-    small.image_width = small.image_height = dispatch_img;
-    service.Submit(small).get();  // warm this service's pipeline handle
 
-    constexpr std::size_t kWindow = 8;
-    std::deque<std::future<RenderResponse>> window;
-    bench::WallTimer timer;
-    for (std::size_t i = 0; i < dispatch_requests; ++i) {
-      RenderRequest r = small;
-      r.view = static_cast<int>(i) % std::max(r.n_views, 1);
-      window.push_back(service.Submit(r));
-      if (window.size() >= kWindow) {
-        window.front().get();
-        window.pop_front();
-      }
-    }
-    while (!window.empty()) {
-      window.front().get();
-      window.pop_front();
-    }
-    const double wall_ms = timer.ElapsedMs();
-    dispatch::SetActiveMode(prev);
-
-    const ServiceStatsSnapshot s = service.Stats();
-    batch1_rps[m] =
-        wall_ms > 0.0
-            ? static_cast<double>(dispatch_requests) * 1000.0 / wall_ms
-            : 0.0;
-    std::printf("batch-1 [%-8s] %9.1f rps | queue p50 %7.3f ms  "
-                "p99 %7.3f ms\n",
-                mode_name, batch1_rps[m], s.queue_latency.Percentile(50),
-                s.queue_latency.Percentile(99));
-    const std::string name = std::string("serve/batch1-") + mode_name;
-    json.AddPercentiles(name, s.total_latency.Percentile(50),
-                        s.total_latency.Percentile(95),
-                        s.total_latency.Percentile(99), batch1_rps[m],
-                        effective_threads);
-    json.AddCounts(name + "/outcomes", s.completed, s.rejected, s.expired,
-                   effective_threads);
-    if (s.rejected + s.expired > 0) {
-      std::fprintf(stderr,
-                   "ERROR: batch-1 closed loop shed %llu request(s)\n",
-                   static_cast<unsigned long long>(s.rejected + s.expired));
-      return 1;
-    }
-  }
-  if (batch1_rps[0] > 0.0) {
-    const double ratio = batch1_rps[1] / batch1_rps[0];
-    std::printf("batch-1 dispatch: locked %.1f -> lockfree %.1f rps "
-                "(%.2fx)\n", batch1_rps[0], batch1_rps[1], ratio);
-    if (ratio < 1.0) {
-      std::printf("note: lock-free path not ahead — expected on single-core "
-                  "machines where admission never contends\n");
-    }
-    // Ratio value rides in the wall_ms field (repo convention).
-    json.Add("ratio/lockfree-vs-locked", ratio, effective_threads);
-  }
-
-  // Dispatch-overhead probe: strictly one request in flight on the
-  // lock-free path, so the queue is empty at every submit and the
-  // submit->issue latency is pure dispatch cost (admission + dispatcher
-  // wakeup + batch issue), with no render backlog mixed in.
+  // Dispatch-overhead probe: strictly one request in flight, so the queue
+  // is empty at every submit and the submit->issue latency is pure
+  // dispatch cost (admission + dispatcher wakeup + batch issue), with no
+  // render backlog mixed in.
   {
-    const dispatch::Mode prev =
-        dispatch::SetActiveMode(dispatch::Mode::kLockFree);
     RenderServiceOptions opts = service_opts;
     opts.max_batch = 1;
     RenderService service(opts);
@@ -455,7 +379,6 @@ int main(int argc, char** argv) {
       r.view = static_cast<int>(i) % std::max(r.n_views, 1);
       service.Submit(r).get();
     }
-    dispatch::SetActiveMode(prev);
     // Percentile over this service's completions (the warmup request is one
     // sample among `probes`; the median is robust to it).
     const double overhead_ms = service.Stats().queue_latency.Percentile(50);

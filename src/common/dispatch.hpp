@@ -1,57 +1,21 @@
-// Dispatch-path selection for the scheduling layers (ThreadPool work
-// distribution, RenderService admission): lock-free bounded queues + pooled
-// state, or the original mutex+condvar path kept in-tree as the
-// differential oracle — the same scalar-reference-first rule the SIMD layer
-// follows (common/simd.hpp).
-//
-//   * The mode is process-global, resolved once from the SPNF_DISPATCH
-//     environment variable ("lockfree" | "locked"); absent or unparseable
-//     values resolve to lock-free (the default fast path).
-//   * Pools and services capture the mode AT CONSTRUCTION, so a running
-//     scheduler never changes its internals mid-flight; tests and benches
-//     flip the mode programmatically via SetActiveMode and construct fresh
-//     instances per mode.
-//   * Both modes are required to produce bit-identical results: images,
-//     RenderStats, ServiceStats outcomes and dispatch ranking — the
-//     serialization points (region completion order per dispatcher, the
-//     service dispatcher's ranked pop) are mode-independent by design, and
-//     the differential CI legs run the serve/parallel suites under both.
+// Scheduler identity for run stamps. ThreadPool and RenderService have one
+// scheduler, the mutex + condition-variable path; this header only names it
+// so reports that record the active dispatch mode keep a stable field.
 #pragma once
-
-#include <string_view>
 
 #include "common/types.hpp"
 
 namespace spnerf::dispatch {
 
-/// Scheduler implementations. kLocked is the original mutex+condvar path —
-/// always available, and the correctness oracle kLockFree is differentially
-/// tested against.
+/// Scheduler implementations. There is one.
 enum class Mode : u8 {
   kLocked = 0,
-  kLockFree,
 };
 
-/// Lower-case mode name ("locked", "lockfree") — used in bench entry names
-/// and the SPNF_DISPATCH override.
-[[nodiscard]] const char* ModeName(Mode mode);
+/// Lower-case mode name, as recorded in run stamps.
+[[nodiscard]] inline const char* ModeName(Mode) { return "locked"; }
 
-/// Parses a mode name; returns false (and leaves `out` untouched) for
-/// unknown strings. Case-sensitive: the override contract is lower-case.
-bool ParseModeName(std::string_view name, Mode& out);
-
-/// The mode newly constructed schedulers adopt. First call resolves the
-/// SPNF_DISPATCH override; later calls are one relaxed atomic load.
-[[nodiscard]] Mode ActiveMode();
-
-/// Forces the mode for schedulers constructed from now on (tests, benches,
-/// operational override). Returns the previously active mode, so callers
-/// can save/restore around a scoped override.
-Mode SetActiveMode(Mode mode);
-
-/// Pure resolution rule for an override string, exposed for tests:
-/// nullptr/empty -> kLockFree (default); a parseable name -> that mode;
-/// garbage -> kLockFree with a warning.
-[[nodiscard]] Mode ResolveOverride(const char* value);
+/// The scheduler every ThreadPool and RenderService runs.
+[[nodiscard]] inline Mode ActiveMode() { return Mode::kLocked; }
 
 }  // namespace spnerf::dispatch

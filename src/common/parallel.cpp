@@ -1,5 +1,7 @@
 #include "common/parallel.hpp"
 
+#include <memory>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -12,105 +14,33 @@ namespace {
 // different, idle pool still fans out.
 thread_local ThreadPool* tls_current_pool = nullptr;
 
-// Idle iterations (each a yield) a worker burns before parking, and a
-// blocking dispatcher burns before parking on region completion. Short: the
-// point is to absorb the common "work arrives immediately" window, not to
-// busy-wait through real gaps.
-constexpr int kWorkerSpinIters = 64;
-constexpr int kDispatchSpinIters = 128;
-
-/// Pool-layer metric handles, resolved once per process. Every record site
-/// is gated on obs::CountersEnabled() — the off level costs one relaxed
-/// load per site.
-struct PoolMetrics {
-  obs::Counter& regions = obs::MetricsRegistry::Global().GetCounter(
-      "pool/regions");
-  obs::Counter& parks = obs::MetricsRegistry::Global().GetCounter(
-      "pool/parks");
-  obs::Counter& wakes = obs::MetricsRegistry::Global().GetCounter(
-      "pool/wakes");
-  obs::Counter& token_overflow = obs::MetricsRegistry::Global().GetCounter(
-      "pool/token-overflow");
-  obs::Gauge& tokens = obs::MetricsRegistry::Global().GetGauge(
-      "pool/tokens");
-};
-
-PoolMetrics& Metrics() {
-  static PoolMetrics metrics;
-  return metrics;
+/// Regions dispatched (blocking and detached), resolved once per process.
+/// Recording is gated on obs::CountersEnabled() — the off level costs one
+/// relaxed load per site.
+obs::Counter& RegionsCounter() {
+  static obs::Counter& regions =
+      obs::MetricsRegistry::Global().GetCounter("pool/regions");
+  return regions;
 }
 
 }  // namespace
 
-void ThreadPool::Region::ResetForDetached(std::function<void(unsigned)> fn,
-                                          std::function<void()> completion,
-                                          unsigned n) {
-  invoke = nullptr;
-  ctx = nullptr;
-  body = std::move(fn);
-  on_complete = std::move(completion);
-  slots = n;
-  next_slot.store(0, std::memory_order_relaxed);
-  remaining.store(n, std::memory_order_relaxed);
-  token_refs.store(0, std::memory_order_relaxed);
-  detached = true;
-  done = false;
-  trace_start_ns = obs::FullTracingEnabled() ? obs::TraceNowNs() : 0;
-  error_claimed.store(false, std::memory_order_relaxed);
-  error = nullptr;
-}
-
-ThreadPool::ThreadPool(unsigned workers, std::size_t token_capacity)
-    : mode_(dispatch::ActiveMode()), tokens_(token_capacity) {
+ThreadPool::ThreadPool(unsigned workers) {
   if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
   worker_count_ = workers;
   threads_.reserve(workers - 1);
   for (unsigned i = 0; i + 1 < workers; ++i) {
-    if (mode_ == dispatch::Mode::kLockFree) {
-      threads_.emplace_back([this] { WorkerLoopLockFree(); });
-    } else {
-      threads_.emplace_back([this] { WorkerLoopLocked(); });
-    }
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  if (mode_ == dispatch::Mode::kLockFree) {
-    // seq_cst store: the Dekker partner of SubmitLockFree's live_regions_
-    // increment — every later Submit observes it and runs inline, every
-    // earlier Submit's region is covered by the live-region wait below.
-    stopping_.store(true, std::memory_order_seq_cst);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      work_ready_.notify_all();
-    }
-    // Drain every live region — blocking dispatchers finish on their own,
-    // and detached completions must run before the workers join. Workers
-    // keep pulling tokens until the live count hits zero (their exit
-    // condition), so queued regions drain even during shutdown.
-    region_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      region_done_.wait(lock, [this] {
-        return live_regions_.load(std::memory_order_seq_cst) == 0;
-      });
-    }
-    region_waiters_.fetch_sub(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      work_ready_.notify_all();  // parked workers wake to observe stopping_
-    }
-    for (std::thread& t : threads_) t.join();
-    return;
-  }
   std::unique_lock<std::mutex> lock(mutex_);
-  stopping_.store(true, std::memory_order_relaxed);
+  stopping_ = true;
   work_ready_.notify_all();
   // Drain every live region — blocking dispatchers finish on their own, and
   // detached completions must run before the workers join.
-  region_done_.wait(lock, [this] {
-    return live_regions_.load(std::memory_order_relaxed) == 0;
-  });
+  region_done_.wait(lock, [this] { return live_regions_ == 0; });
   lock.unlock();
   work_ready_.notify_all();
   for (std::thread& t : threads_) t.join();
@@ -121,65 +51,13 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
-void ThreadPool::Dispatch(void (*invoke)(void*, unsigned), void* ctx,
-                          unsigned slots) {
-  slots = std::min(std::max(slots, 1u), worker_count_);
-  if (slots == 1 || threads_.empty() || tls_current_pool == this) {
-    // Sequential fallback; nested regions on the same pool also land here
-    // so they cannot re-enter the scheduler from inside a slot. A different
-    // pool's worker dispatching here still fans out.
-    for (unsigned s = 0; s < slots; ++s) invoke(ctx, s);
-    return;
-  }
-  if (mode_ == dispatch::Mode::kLockFree) {
-    DispatchLockFree(invoke, ctx, slots);
-  } else {
-    DispatchLocked(invoke, ctx, slots);
-  }
+void ThreadPool::Enqueue(Region* region) {
+  open_.push_back(region);
+  ++live_regions_;
+  work_ready_.notify_all();
 }
 
-void ThreadPool::Submit(unsigned slots, std::function<void(unsigned)> fn,
-                        std::function<void()> on_complete) {
-  slots = std::min(std::max(slots, 1u), worker_count_);
-  if (obs::CountersEnabled()) Metrics().regions.Add();
-  if (mode_ == dispatch::Mode::kLockFree) {
-    if (threads_.empty()) {
-      // No workers to hand the region to: run it inline, completion
-      // included — the sequential fallback.
-      for (unsigned s = 0; s < slots; ++s) fn(s);
-      if (on_complete) on_complete();
-      return;
-    }
-    Region* region = region_pool_.Acquire();
-    region->ResetForDetached(std::move(fn), std::move(on_complete), slots);
-    SubmitLockFree(region);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (threads_.empty() || stopping_.load(std::memory_order_relaxed)) {
-    // No workers to hand the region to (single-threaded pool, or shutdown
-    // already draining): run it inline, completion included.
-    lock.unlock();
-    for (unsigned s = 0; s < slots; ++s) fn(s);
-    if (on_complete) on_complete();
-    return;
-  }
-  // The region pool is lock-free, so the mutex stays held: the stopping
-  // check and the region's publication remain one atomic step, exactly as
-  // in the original scheduler.
-  Region* region = region_pool_.Acquire();
-  region->ResetForDetached(std::move(fn), std::move(on_complete), slots);
-  SubmitLocked(region);
-}
-
-// ---------------------------------------------------------------------------
-// Locked mode: the original mutex+condvar scheduler, kept as the differential
-// oracle for the lock-free path (SPNF_DISPATCH=locked). Region fields are
-// atomics shared with the lock-free mode but every access here happens under
-// mutex_, so relaxed loads/stores suffice — the mutex carries the ordering.
-// ---------------------------------------------------------------------------
-
-void ThreadPool::CloseLocked(Region* region) {
+void ThreadPool::Close(Region* region) {
   for (auto it = open_.begin(); it != open_.end(); ++it) {
     if (*it == region) {
       open_.erase(it);
@@ -188,13 +66,13 @@ void ThreadPool::CloseLocked(Region* region) {
   }
 }
 
-void ThreadPool::FinishSlotLocked(Region* region,
-                                  std::unique_lock<std::mutex>& lock) {
-  if (region->remaining.fetch_sub(1, std::memory_order_relaxed) != 1) return;
-  live_regions_.fetch_sub(1, std::memory_order_relaxed);
+void ThreadPool::FinishSlot(Region* region,
+                            std::unique_lock<std::mutex>& lock) {
+  if (--region->remaining != 0) return;
+  --live_regions_;
+  region_done_.notify_all();  // the destructor waits on live_regions_
   if (!region->detached) {
     region->done = true;
-    region_done_.notify_all();
     return;
   }
   if (region->trace_start_ns != 0 && obs::FullTracingEnabled()) {
@@ -206,39 +84,38 @@ void ThreadPool::FinishSlotLocked(Region* region,
     ev.AddArg("slots", static_cast<i64>(region->slots));
     obs::Emit(ev);
   }
-  std::function<void()> completion = std::move(region->on_complete);
-  region->body = nullptr;  // drop captured state before the record is pooled
-  region_done_.notify_all();  // the destructor waits on live_regions_
+  // Every slot has returned, so this thread is the record's last user. The
+  // body's captured state dies first, outside the lock, so the completion
+  // is the last of the region to run.
+  std::unique_ptr<Region> owned(region);
   lock.unlock();
-  if (completion) {
+  owned->body = nullptr;
+  if (owned->on_complete) {
     // Same contract as detached slot bodies: an escaped exception is
     // dropped, never propagated into the worker loop (where it would
     // std::terminate the process). Submitters guard their own callbacks.
     try {
-      completion();
+      owned->on_complete();
     } catch (...) {
     }
   }
-  region_pool_.Release(region);
+  owned.reset();
   lock.lock();
 }
 
-void ThreadPool::WorkerLoopLocked() {
+void ThreadPool::WorkerLoop() {
   tls_current_pool = this;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    work_ready_.wait(lock, [this] {
-      return stopping_.load(std::memory_order_relaxed) || !open_.empty();
-    });
+    work_ready_.wait(lock, [this] { return stopping_ || !open_.empty(); });
     if (open_.empty()) {
-      if (stopping_.load(std::memory_order_relaxed)) return;
+      if (stopping_) return;
       continue;  // queued regions drain even during shutdown
     }
     // FIFO by region: the front region always has unclaimed slots (fully
     // claimed regions leave the queue immediately), so claiming is O(1).
     Region* region = open_.front();
-    const unsigned slot =
-        region->next_slot.fetch_add(1, std::memory_order_relaxed);
+    const unsigned slot = region->next_slot++;
     if (slot + 1 == region->slots) open_.pop_front();
     lock.unlock();
     // A throwing body must not unwind the region protocol (the published
@@ -252,25 +129,31 @@ void ThreadPool::WorkerLoopLocked() {
     }
     lock.lock();
     if (error && !region->error) region->error = error;
-    FinishSlotLocked(region, lock);
+    FinishSlot(region, lock);
   }
 }
 
-void ThreadPool::DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
-                                unsigned slots) {
-  if (obs::CountersEnabled()) Metrics().regions.Add();
+void ThreadPool::Dispatch(void (*invoke)(void*, unsigned), void* ctx,
+                          unsigned slots) {
+  slots = std::min(std::max(slots, 1u), worker_count_);
+  if (slots == 1 || threads_.empty() || tls_current_pool == this) {
+    // Sequential fallback; nested regions on the same pool also land here
+    // so they cannot re-enter the scheduler from inside a slot. A different
+    // pool's worker dispatching here still fans out.
+    for (unsigned s = 0; s < slots; ++s) invoke(ctx, s);
+    return;
+  }
+  if (obs::CountersEnabled()) RegionsCounter().Add();
   obs::TraceSpan region_span("pool", "region");
   region_span.AddArg("slots", static_cast<i64>(slots));
   Region region;
   region.invoke = invoke;
   region.ctx = ctx;
   region.slots = slots;
-  region.remaining.store(slots, std::memory_order_relaxed);
+  region.remaining = slots;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  open_.push_back(&region);
-  live_regions_.fetch_add(1, std::memory_order_relaxed);
-  work_ready_.notify_all();
+  Enqueue(&region);
   // The dispatching thread claims slots of its own region alongside the
   // workers: progress never depends on a free pool thread, and a second
   // dispatcher arriving while the pool is busy still drives its own region.
@@ -278,11 +161,9 @@ void ThreadPool::DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
   // so same-pool nesting stays inline, then restore.
   ThreadPool* const previous = tls_current_pool;
   tls_current_pool = this;
-  while (region.next_slot.load(std::memory_order_relaxed) < region.slots) {
-    const unsigned slot =
-        region.next_slot.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= region.slots) break;  // a worker claimed the last slot first
-    if (slot + 1 == region.slots) CloseLocked(&region);
+  while (region.next_slot < region.slots) {
+    const unsigned slot = region.next_slot++;
+    if (slot + 1 == region.slots) Close(&region);
     lock.unlock();
     std::exception_ptr error;
     try {
@@ -292,7 +173,7 @@ void ThreadPool::DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
     }
     lock.lock();
     if (error && !region.error) region.error = error;
-    FinishSlotLocked(&region, lock);
+    FinishSlot(&region, lock);
   }
   tls_current_pool = previous;
   region_done_.wait(lock, [&region] { return region.done; });
@@ -305,305 +186,33 @@ void ThreadPool::DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
   }
 }
 
-void ThreadPool::SubmitLocked(Region* region) {
-  // Called with mutex_ held.
-  open_.push_back(region);
-  live_regions_.fetch_add(1, std::memory_order_relaxed);
-  work_ready_.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free mode. Work distribution is a bounded Vyukov MPMC ring of region
-// tokens plus per-region atomic claim cursors; the pool mutex survives only
-// as the condvar guard of the two park/wake slow paths (idle workers on
-// work_ready_, blocking dispatchers and the destructor on region_done_).
-// Both slow paths use the eventcount discipline: the would-be sleeper
-// announces itself with a seq_cst RMW, re-checks the condition, then parks
-// under the mutex; the producer publishes its event, runs a seq_cst fence,
-// and takes the lock to notify only when the announce counter is non-zero.
-// Whichever side's seq_cst step comes first in the total order, the other
-// side observes it — a lost wakeup would need the sleeper to miss the event
-// AND the producer to miss the announcement, which seq_cst forbids.
-// ---------------------------------------------------------------------------
-
-void ThreadPool::PushTokens(Region* region, unsigned count) {
-  if (count == 0) return;
-  // relaxed: the refs travel to consumers through the ring's release/acquire
-  // handshake; RMW coherence on token_refs rules out underflow.
-  region->token_refs.fetch_add(count, std::memory_order_relaxed);
-  if (obs::CountersEnabled()) Metrics().tokens.Add(static_cast<i64>(count));
-  unsigned spilled = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    if (!tokens_.TryPush(region)) ++spilled;
-  }
-  if (spilled > 0) {
-    if (obs::CountersEnabled()) Metrics().token_overflow.Add(spilled);
-    // Ring full: spill to the mutex-guarded overflow list. Notifying under
-    // the same mutex the workers' wait predicate runs under makes this leg
-    // lost-wakeup-free by construction (no eventcount subtlety needed).
+void ThreadPool::Submit(unsigned slots, std::function<void(unsigned)> fn,
+                        std::function<void()> on_complete) {
+  slots = std::min(std::max(slots, 1u), worker_count_);
+  if (obs::CountersEnabled()) RegionsCounter().Add();
+  if (!threads_.empty()) {
+    auto region = std::make_unique<Region>();
+    region->body = std::move(fn);
+    region->on_complete = std::move(on_complete);
+    region->slots = slots;
+    region->remaining = slots;
+    region->detached = true;
+    region->trace_start_ns = obs::FullTracingEnabled() ? obs::TraceNowNs() : 0;
     std::lock_guard<std::mutex> lock(mutex_);
-    for (unsigned i = 0; i < spilled; ++i) overflow_.push_back(region);
-    overflow_count_.fetch_add(spilled, std::memory_order_relaxed);
-    work_ready_.notify_all();
-  }
-  // Eventcount producer side: publish (the pushes above), fence, then check
-  // for sleepers. Locking to notify only when someone is parked is what
-  // makes dispatch onto an awake pool lock-free.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_relaxed) > 0) {
-    if (obs::CountersEnabled()) Metrics().wakes.Add();
-    std::lock_guard<std::mutex> lock(mutex_);
-    work_ready_.notify_all();
-  }
-}
-
-bool ThreadPool::PopToken(Region*& region) {
-  if (tokens_.TryPop(region)) return true;
-  if (overflow_count_.load(std::memory_order_relaxed) != 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!overflow_.empty()) {
-      region = overflow_.front();
-      overflow_.pop_front();
-      overflow_count_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::DropTokenRef(Region* region) {
-  if (obs::CountersEnabled()) Metrics().tokens.Add(-1);
-  // acq_rel: a blocking dispatcher's acquire load of token_refs == 0 must
-  // order after every token consumer's accesses to the region.
-  if (region->token_refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // This drop may be the last event the region's owner is waiting on
-    // (all slots already finished, this token was stale).
-    WakeRegionWaiters();
-  }
-}
-
-void ThreadPool::ProcessToken(Region* region) {
-  // relaxed: the cursor only partitions slots between claimants; every
-  // cross-thread data handoff rides the completion latch below.
-  const unsigned slot =
-      region->next_slot.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= region->slots) {
-    // Stale token: the dispatcher (and/or other workers) drained the cursor
-    // before this token was popped. Only blocking regions produce stale
-    // tokens — detached regions get exactly one token per slot.
-    DropTokenRef(region);
-    return;
-  }
-  // The claimed slot keeps `remaining` above zero, which keeps the region
-  // alive past this point; the token ref itself can be returned already.
-  DropTokenRef(region);
-  std::exception_ptr error;
-  try {
-    region->Run(slot);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  if (error &&
-      !region->error_claimed.exchange(true, std::memory_order_relaxed)) {
-    // Publication to the dispatcher rides the release decrement below.
-    region->error = error;
-  }
-  FinishSlotLockFree(region);
-}
-
-void ThreadPool::FinishSlotLockFree(Region* region) {
-  const bool detached = region->detached;  // read before the frame can die
-  // acq_rel release-side: publishes this slot's body effects (and any error
-  // store) to whoever observes the latch hit zero; acquire side: the last
-  // decrementer inherits every other slot's effects before running the
-  // completion. All decrements form one release sequence, so the observer
-  // synchronizes with every slot, not just the last.
-  if (region->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-  if (!detached) {
-    // Blocking region: the dispatcher owns the frame and may free it the
-    // instant it observes the zero — no region access past the decrement.
-    WakeRegionWaiters();
-    return;
-  }
-  // Last slot of a detached region: every body has returned. Recycle the
-  // record before the completion runs so a completion that re-submits can
-  // reuse it.
-  if (region->trace_start_ns != 0 && obs::FullTracingEnabled()) {
-    // Submission-to-last-slot lifetime of the detached region; read fields
-    // before Release hands the record to the next submitter.
-    obs::TraceEvent ev;
-    ev.category = "pool";
-    ev.name = "region-detached";
-    ev.start_ns = region->trace_start_ns;
-    ev.end_ns = obs::TraceNowNs();
-    ev.AddArg("slots", static_cast<i64>(region->slots));
-    obs::Emit(ev);
-  }
-  std::function<void()> completion = std::move(region->on_complete);
-  region->body = nullptr;  // drop captured state before the record is pooled
-  region->on_complete = nullptr;
-  region_pool_.Release(region);
-  if (completion) {
-    // Same contract as detached slot bodies: an escaped exception is
-    // dropped, never propagated into the worker loop.
-    try {
-      completion();
-    } catch (...) {
-    }
-  }
-  DropLiveRegion();
-}
-
-void ThreadPool::DropLiveRegion() {
-  // seq_cst: partners with the stopping_/live_regions_ handshakes in
-  // SubmitLockFree, the destructor and the worker exit condition.
-  if (live_regions_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    WakeRegionWaiters();
-  }
-}
-
-void ThreadPool::WakeRegionWaiters() {
-  // Eventcount producer side (see the mode banner above). The caller's
-  // event — latch zero, refs zero or live-count zero — is already
-  // published; a parked waiter re-checks its predicate under the mutex.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (region_waiters_.load(std::memory_order_relaxed) > 0) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    region_done_.notify_all();
-  }
-}
-
-void ThreadPool::WorkerLoopLockFree() {
-  tls_current_pool = this;
-  int idle = 0;
-  Region* region = nullptr;
-  for (;;) {
-    if (PopToken(region)) {
-      idle = 0;
-      ProcessToken(region);
-      continue;
-    }
-    if (++idle < kWorkerSpinIters) {
-      std::this_thread::yield();
-      continue;
-    }
-    idle = 0;
-    // Eventcount consumer side: announce, fence, re-check, then park.
-    if (obs::CountersEnabled()) Metrics().parks.Add();
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (PopToken(region)) {
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      ProcessToken(region);
-      continue;
-    }
-    // Exit order matters: observe stopping_ first, then the live count —
-    // any Submit that slipped past the shutdown Dekker has its live
-    // increment seq_cst-before the stopping_ store, so a worker that reads
-    // stopping_ == true and then live == 0 knows that region completed.
-    if (stopping_.load(std::memory_order_seq_cst) &&
-        live_regions_.load(std::memory_order_seq_cst) == 0) {
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    // Checking stopping_ and publishing the region is one step under the
+    // lock, so the destructor's live-region wait covers every region it
+    // lets through.
+    if (!stopping_) {
+      Enqueue(region.release());
       return;
     }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) ||
-               !tokens_.Empty() ||
-               overflow_count_.load(std::memory_order_relaxed) != 0;
-      });
-    }
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    fn = std::move(region->body);
+    on_complete = std::move(region->on_complete);
   }
-}
-
-void ThreadPool::DispatchLockFree(void (*invoke)(void*, unsigned), void* ctx,
-                                  unsigned slots) {
-  if (obs::CountersEnabled()) Metrics().regions.Add();
-  obs::TraceSpan region_span("pool", "region");
-  region_span.AddArg("slots", static_cast<i64>(slots));
-  Region region;  // lives on the dispatcher's stack — see token_refs
-  region.invoke = invoke;
-  region.ctx = ctx;
-  region.slots = slots;
-  region.remaining.store(slots, std::memory_order_relaxed);
-  live_regions_.fetch_add(1, std::memory_order_seq_cst);
-
-  // One token per slot the workers may help with; the dispatcher drives its
-  // own cursor directly, so tokens it races past simply go stale.
-  PushTokens(&region, slots - 1);
-
-  ThreadPool* const previous = tls_current_pool;
-  tls_current_pool = this;
-  for (;;) {
-    const unsigned slot =
-        region.next_slot.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= slots) break;
-    std::exception_ptr error;
-    try {
-      invoke(ctx, slot);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    if (error &&
-        !region.error_claimed.exchange(true, std::memory_order_relaxed)) {
-      region.error = error;
-    }
-    // No wake needed: the only thread that ever waits on this region is
-    // this one, and it is not waiting yet.
-    region.remaining.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  tls_current_pool = previous;
-
-  // The frame may not leave this scope until every slot finished AND every
-  // ring token naming it was consumed (stale tokens still dereference the
-  // region when dropped).
-  const auto quiescent = [&region] {
-    return region.remaining.load(std::memory_order_acquire) == 0 &&
-           region.token_refs.load(std::memory_order_acquire) == 0;
-  };
-  for (int spin = 0; spin < kDispatchSpinIters && !quiescent(); ++spin) {
-    std::this_thread::yield();
-  }
-  if (!quiescent()) {
-    // Eventcount consumer side, mirroring the worker park.
-    region_waiters_.fetch_add(1, std::memory_order_seq_cst);
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      region_done_.wait(lock, quiescent);
-    }
-    region_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  DropLiveRegion();
-  // Rethrow only after every slot finished: the Region leaves the scheduler
-  // intact whichever thread threw.
-  if (region.error) std::rethrow_exception(region.error);
-}
-
-void ThreadPool::SubmitLockFree(Region* region) {
-  // Shutdown Dekker: expose the region in the live count with a seq_cst RMW
-  // *before* checking stopping_. Either this increment is seq_cst-before
-  // the destructor's stopping_ store — then the destructor's live-region
-  // wait covers the region — or the store came first and the load below
-  // observes it, and the region runs inline instead.
-  live_regions_.fetch_add(1, std::memory_order_seq_cst);
-  if (stopping_.load(std::memory_order_seq_cst)) {
-    DropLiveRegion();
-    std::function<void(unsigned)> body = std::move(region->body);
-    std::function<void()> completion = std::move(region->on_complete);
-    const unsigned slots = region->slots;
-    region->body = nullptr;
-    region->on_complete = nullptr;
-    region_pool_.Release(region);
-    for (unsigned s = 0; s < slots; ++s) body(s);
-    if (completion) completion();
-    return;
-  }
-  // Exactly one token per slot: detached regions have no dispatcher racing
-  // the cursor, so no token ever goes stale and the last finisher can
-  // recycle the record with nothing else referencing it.
-  PushTokens(region, region->slots);
+  // No workers to hand the region to (single-threaded pool, or shutdown
+  // already draining): run it inline, completion included.
+  for (unsigned s = 0; s < slots; ++s) fn(s);
+  if (on_complete) on_complete();
 }
 
 }  // namespace spnerf

@@ -10,19 +10,9 @@
 // regardless of the worker count, the schedule, or what other regions the
 // pool is running concurrently.
 //
-// Work distribution runs in one of two modes, captured at pool construction
-// from the process-global SPNF_DISPATCH override (common/dispatch.hpp):
-//   * kLockFree (default): workers pull region tokens from a bounded
-//     Vyukov MPMC ring (common/mpmc_queue.hpp) and claim slots through
-//     per-region atomic cursors; detached region records come from a
-//     fixed-slab pool instead of the heap. The pool mutex+condvar survive
-//     only as the sleep/wake slow path (eventcount-style spin-then-park),
-//     so dispatching onto an already-awake pool takes zero lock
-//     acquisitions. See ARCHITECTURE.md, "Dispatch path", for the full
-//     memory-order and liveness argument.
-//   * kLocked: the original mutex+condvar scheduler, kept in-tree as the
-//     differential oracle (the scalar-reference-first rule the SIMD layer
-//     established). Both modes produce bit-identical results.
+// Scheduling is one mutex + two condition variables: a FIFO of regions with
+// unclaimed slots, whose slots are claimed under the lock (see
+// ARCHITECTURE.md, "Rendering flow", for why there is no lock-free variant).
 #pragma once
 
 #include <algorithm>
@@ -38,9 +28,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/dispatch.hpp"
-#include "common/mpmc_queue.hpp"
-#include "common/object_pool.hpp"
+#include "common/types.hpp"
 
 namespace spnerf {
 
@@ -59,12 +47,7 @@ namespace spnerf {
 class ThreadPool {
  public:
   /// `workers = 0` sizes the pool to std::thread::hardware_concurrency().
-  /// `token_capacity` bounds the lock-free work-token ring; tokens beyond
-  /// it spill to a mutex-guarded overflow list (correct, slower — tests
-  /// shrink the ring to force that path). The dispatch mode is captured
-  /// here from dispatch::ActiveMode() and never changes for this pool.
-  explicit ThreadPool(unsigned workers = 0,
-                      std::size_t token_capacity = kDefaultTokenCapacity);
+  explicit ThreadPool(unsigned workers = 0);
   /// Waits for every live region (blocking and detached) to finish, then
   /// joins the workers. Detached completions always run before destruction
   /// returns.
@@ -75,9 +58,6 @@ class ThreadPool {
 
   /// Parallel slots available to a region (pool threads + calling thread).
   [[nodiscard]] unsigned WorkerCount() const { return worker_count_; }
-
-  /// The work-distribution mode this pool was constructed with.
-  [[nodiscard]] dispatch::Mode Mode() const { return mode_; }
 
   /// Parallelism a worker cap resolves to: 0 means every worker, anything
   /// else clamps to WorkerCount(). The one rule shared by ParallelFor, the
@@ -112,105 +92,60 @@ class ThreadPool {
   /// the worker that finishes the last slot, after every slot has returned.
   /// `slots` is clamped to WorkerCount(), exactly like RunOnWorkers — slots
   /// are parallelism seats, not work items; hand out work inside fn via a
-  /// shared cursor. The region record itself comes from a fixed slab pool
-  /// (heap only past kRegionPoolCapacity concurrent detached regions).
-  /// When the pool has no worker threads (WorkerCount() == 1) the region —
-  /// completion included — runs inline on the calling thread before Submit
-  /// returns: the sequential fallback, same results, no asynchrony.
+  /// shared cursor. The region record is heap-allocated here and freed by
+  /// that worker once the completion returned. When the pool has no worker
+  /// threads (WorkerCount() == 1), or is already shutting down, the region
+  /// — completion included — runs inline on the calling thread before
+  /// Submit returns: the sequential fallback, same results, no asynchrony.
   void Submit(unsigned slots, std::function<void(unsigned)> fn,
               std::function<void()> on_complete = {});
 
-  static constexpr std::size_t kDefaultTokenCapacity = 1024;
-  static constexpr std::size_t kRegionPoolCapacity = 64;
-
  private:
-  /// One live parallel region. In lock-free mode the claim cursor, the
-  /// completion latch and the token refcount are raced on directly; in
-  /// locked mode the same fields are only ever touched under the pool
-  /// mutex (relaxed atomic ops — the mutex carries the ordering).
+  /// One live parallel region. After publication every mutable field is
+  /// only touched under the pool mutex; the callable fields are immutable
+  /// and read outside it.
   struct Region {
     void (*invoke)(void*, unsigned) = nullptr;  // blocking regions
     void* ctx = nullptr;
-    std::function<void(unsigned)> body;    // detached regions own their fn
-    std::function<void()> on_complete;     // detached only
+    std::function<void(unsigned)> body;  // detached regions own their fn
+    std::function<void()> on_complete;   // detached only
     unsigned slots = 0;
-    std::atomic<unsigned> next_slot{0};    // claim cursor
-    std::atomic<unsigned> remaining{0};    // completion latch
-    /// Lock-free mode: work tokens in flight that still name this region.
-    /// A blocking region's stack frame may not be abandoned until every
-    /// token was consumed (tokens the dispatcher raced past go stale and
-    /// are dropped on pop, but the pop itself dereferences the region).
-    std::atomic<unsigned> token_refs{0};
+    unsigned next_slot = 0;  // claim cursor
+    unsigned remaining = 0;  // completion latch
     bool detached = false;
-    bool done = false;  // locked mode, blocking regions: completion flag
+    bool done = false;  // blocking regions: completion flag
     /// Trace-clock stamp of the detached region's submission; 0 = tracing
     /// off. The last finisher emits the region-lifetime span from it.
     u64 trace_start_ns = 0;
-    /// First exception a slot body threw (claimed via `error_claimed`).
-    /// Blocking dispatchers rethrow it after the region completes; detached
-    /// regions drop it (their submitters guard their own bodies).
-    std::atomic<bool> error_claimed{false};
+    /// First exception a slot body threw. Blocking dispatchers rethrow it
+    /// after the region completes; detached regions drop it (their
+    /// submitters guard their own bodies).
     std::exception_ptr error;
 
     void Run(unsigned slot) { invoke ? invoke(ctx, slot) : body(slot); }
-    /// Recycles a pooled record for a new detached region.
-    void ResetForDetached(std::function<void(unsigned)> fn,
-                          std::function<void()> completion, unsigned n);
   };
 
   void Dispatch(void (*invoke)(void*, unsigned), void* ctx, unsigned slots);
-
-  // --- locked mode (the differential oracle; see parallel.cpp) ---
-  void DispatchLocked(void (*invoke)(void*, unsigned), void* ctx,
-                      unsigned slots);
-  void SubmitLocked(Region* region);
-  void CloseLocked(Region* region);
-  void FinishSlotLocked(Region* region, std::unique_lock<std::mutex>& lock);
-  void WorkerLoopLocked();
-
-  // --- lock-free mode ---
-  void DispatchLockFree(void (*invoke)(void*, unsigned), void* ctx,
-                        unsigned slots);
-  void SubmitLockFree(Region* region);
-  void WorkerLoopLockFree();
-  /// Pushes `count` work tokens naming `region` (ring first, mutex-guarded
-  /// overflow when full) and wakes sleeping workers.
-  void PushTokens(Region* region, unsigned count);
-  /// Pops one token (ring first, then overflow). False when no work.
-  bool PopToken(Region*& region);
-  /// Claims and runs one slot of `region` (drops the token if the cursor
-  /// is already exhausted), then finishes the slot.
-  void ProcessToken(Region* region);
-  void FinishSlotLockFree(Region* region);
-  void DropTokenRef(Region* region);
-  /// Decrements the live-region count; wakes region waiters on zero.
-  void DropLiveRegion();
-  /// Wakes threads parked on region_done_ (blocking dispatchers and the
-  /// destructor) if any are parked. Callers must not touch the region that
-  /// triggered the wake afterwards — its owner may already be freeing it.
-  void WakeRegionWaiters();
+  /// Publishes `region` to the workers. Caller holds mutex_.
+  void Enqueue(Region* region);
+  /// Removes a fully claimed region from open_. Caller holds mutex_.
+  void Close(Region* region);
+  /// Retires one finished slot; the last one completes the region (and, for
+  /// a detached region, runs its completion with `lock` released, then
+  /// frees the record). Caller holds `lock`.
+  void FinishSlot(Region* region, std::unique_lock<std::mutex>& lock);
+  void WorkerLoop();
 
   unsigned worker_count_ = 1;
-  dispatch::Mode mode_ = dispatch::Mode::kLockFree;
-  std::vector<std::thread> threads_;  // worker_count_ - 1 entries
 
   std::mutex mutex_;
   std::condition_variable work_ready_;   // workers: work exists
   std::condition_variable region_done_;  // dispatchers + destructor
-  std::deque<Region*> open_;  // locked mode: regions with unclaimed slots
-  std::atomic<std::size_t> live_regions_{0};  // enqueued, not fully finished
-  std::atomic<bool> stopping_{false};
+  std::deque<Region*> open_;       // guarded: regions with unclaimed slots
+  std::size_t live_regions_ = 0;   // guarded: enqueued, not fully finished
+  bool stopping_ = false;          // guarded
 
-  // Lock-free mode state. The token ring carries all steady-state work
-  // distribution; `overflow_` (guarded by mutex_) absorbs pushes when the
-  // ring is full; the two counters below drive the eventcount sleep/wake
-  // protocol (see parallel.cpp for the fence argument).
-  MpmcQueue<Region*> tokens_;
-  std::deque<Region*> overflow_;               // guarded by mutex_
-  std::atomic<std::size_t> overflow_count_{0};
-  std::atomic<int> sleepers_{0};          // workers parked / about to park
-  std::atomic<int> region_waiters_{0};    // parked on region_done_
-  ObjectPool<Region> region_pool_{kRegionPoolCapacity};
+  std::vector<std::thread> threads_;  // worker_count_ - 1 entries
 };
 
 /// Invokes fn(begin, end) on contiguous chunks of [0, n) across the pool's

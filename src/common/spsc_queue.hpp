@@ -1,8 +1,7 @@
 // Bounded single-producer single-consumer ring queue. The cheapest possible
 // handoff between exactly two threads: one plain index per side, one
-// acquire/release pair per transfer, no CAS at all. Use it when the
-// topology is a fixed pipe (one producer thread, one consumer thread); use
-// MpmcQueue when either side can be entered concurrently.
+// acquire/release pair per transfer, no CAS at all. Only valid when the
+// topology is a fixed pipe: one producer thread, one consumer thread.
 //
 // Memory-order contract (every operation annotated):
 //   * `tail_` is written only by the producer, `head_` only by the
@@ -22,7 +21,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/mpmc_queue.hpp"  // kCacheLineSize
 
 namespace spnerf {
 
@@ -84,6 +82,10 @@ class SpscQueue {
   [[nodiscard]] std::size_t Capacity() const { return mask_; }
 
  private:
+  /// Stride that keeps the producer and consumer indices off each other's
+  /// cache line (the classic false-sharing hazard of ring queues).
+  static constexpr std::size_t kCacheLineSize = 64;
+
   std::unique_ptr<T[]> slots_;
   std::size_t mask_ = 0;
   // Producer line: its own index plus its cached view of the consumer's.

@@ -7,7 +7,7 @@
 // upsample to the requested size (rung 2), 4x step at quarter resolution
 // (rung 3). Every rung is a pure function of the base options — no RNG, no
 // wall clock — so a given (request, rung) renders byte-identical pixels on
-// any worker count, SIMD path or dispatch mode.
+// any worker count or SIMD path.
 //
 // This header is deliberately light (enum + spec table + declarations), so
 // the serving stats layer can size per-rung counters without pulling the

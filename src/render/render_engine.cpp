@@ -24,11 +24,6 @@ struct TileAccum {
   DecodeCounters counters;
 };
 
-// Batch records kept hot per engine. The serving layer bounds concurrent
-// batches well below this; past it Acquire falls back to the heap (slower,
-// never wrong).
-constexpr std::size_t kBatchPoolCapacity = 16;
-
 /// Engine-layer metric handles, resolved once per process.
 struct EngineMetrics {
   obs::Counter& batches = obs::MetricsRegistry::Global().GetCounter(
@@ -58,11 +53,9 @@ struct RenderEngine::BatchState {
   std::vector<TileAccum> shards;           // one per task
   std::vector<Image> images;               // one per job, written by tiles
   std::vector<std::promise<RenderResult>> promises;
-  // Per-job completion latches. A raw slab (atomics are not movable, so a
-  // vector could never regrow) sized to the largest batch this record ever
-  // carried — recycled along with the rest of the record.
+  // Per-job completion latches, one per job (atomics are not movable, so
+  // not a vector).
   std::unique_ptr<std::atomic<int>[]> tiles_left;
-  std::size_t tiles_left_capacity = 0;
   std::atomic<std::size_t> cursor{0};        // next unclaimed task
   std::chrono::steady_clock::time_point issued;
   u64 trace_issue_ns = 0;  // trace-clock issue stamp; 0 = tracing off
@@ -71,9 +64,6 @@ struct RenderEngine::BatchState {
   // throwing tile never escapes a detached pool worker (std::terminate).
   std::vector<std::exception_ptr> job_errors;
 
-  /// Clears per-batch contents while keeping grown storage (vector
-  /// capacities, the latch slab) — the recycling contract of ObjectPool.
-  void Reset();
   void RenderTile(std::size_t task_index);
   /// Ordered reduction of the job's shards (shard order == tile enumeration
   /// order, fixed by the image sizes alone) and promise fulfillment. Runs
@@ -89,18 +79,6 @@ struct RenderEngine::BatchState {
         std::min<std::size_t>(pool.ResolveWorkers(cap), tasks.size()));
   }
 };
-
-void RenderEngine::BatchState::Reset() {
-  jobs.clear();
-  renderers.clear();
-  tasks.clear();
-  job_first.clear();
-  shards.clear();
-  images.clear();
-  promises.clear();
-  job_errors.clear();
-  cursor.store(0, std::memory_order_relaxed);
-}
 
 std::vector<std::future<RenderResult>> RenderEngine::BatchState::TakeFutures() {
   std::vector<std::future<RenderResult>> futures;
@@ -193,7 +171,6 @@ RenderEngine::RenderEngine(RenderEngineOptions options) : options_(options) {
     // global pool detected cores, so give them a pool of that size.
     dedicated_ = std::make_unique<ThreadPool>(options_.max_threads);
   }
-  batch_pool_ = std::make_shared<ObjectPool<BatchState>>(kBatchPoolCapacity);
 }
 
 // Out-of-line: BatchState is complete only here.
@@ -217,17 +194,10 @@ RenderResult RenderEngine::Render(const RenderJob& job) const {
 
 std::shared_ptr<RenderEngine::BatchState> RenderEngine::PrepareBatch(
     std::vector<RenderJob> jobs) const {
-  // Recycle a pooled record: Reset() clears contents but keeps the grown
-  // task/shard/latch storage, so a steady-state stream of similar batches
-  // stops allocating. The deleter runs on whichever thread drops the last
-  // reference (usually the pool worker that finished the batch) — Release
-  // is lock-free, so that is safe anywhere, and the captured shared_ptr
-  // keeps the slab alive even if the engine is destroyed while the batch
-  // is still draining.
-  BatchState* raw = batch_pool_->Acquire();
-  raw->Reset();
-  std::shared_ptr<BatchState> state(
-      raw, [pool = batch_pool_](BatchState* s) { pool->Release(s); });
+  // The record owns nothing of the engine's, so the batch may still be
+  // draining after the engine itself was destroyed (only the sources, the
+  // MLPs and the thread pool must outlive it).
+  auto state = std::make_shared<BatchState>();
   state->issued = std::chrono::steady_clock::now();
   state->trace_issue_ns = obs::FullTracingEnabled() ? obs::TraceNowNs() : 0;
   state->jobs = std::move(jobs);
@@ -238,11 +208,8 @@ std::shared_ptr<RenderEngine::BatchState> RenderEngine::PrepareBatch(
   }
   state->renderers.reserve(n);
   state->images.resize(n);
-  state->promises.resize(n);  // fresh promises; the vector keeps capacity
-  if (state->tiles_left_capacity < n) {
-    state->tiles_left = std::make_unique<std::atomic<int>[]>(n);
-    state->tiles_left_capacity = n;
-  }
+  state->promises.resize(n);
+  state->tiles_left = std::make_unique<std::atomic<int>[]>(n);
   state->job_errors.resize(n);
   state->job_first.reserve(n + 1);
 

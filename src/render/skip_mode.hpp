@@ -1,8 +1,8 @@
 // Empty-space-skip structure selection for the ray marchers: jumps across
 // whole empty nodes of the hierarchical occupancy octree, or across one
 // flat CoarseOccupancy leaf cell at a time — kept in-tree as the
-// differential oracle, the same scalar-reference-first rule the SIMD and
-// dispatch layers follow (common/simd.hpp, common/dispatch.hpp).
+// differential oracle, the same scalar-reference-first rule the SIMD layer
+// follows (common/simd.hpp).
 //
 //   * The mode is process-global, resolved once from the SPNF_SKIP
 //     environment variable ("octree" | "flat"); absent or unparseable

@@ -34,8 +34,8 @@
 // issue->complete spans are virtual (0 unless the test advances time), and
 // tests that pin exact rung sequences set freeze_costs and inject the model
 // through SeedCost() — so a staged backlog replays the identical rung
-// sequence across SPNF_DISPATCH modes and worker counts, exactly like the
-// scheduling order it rides on.
+// sequence across worker counts, exactly like the scheduling order it rides
+// on.
 #pragma once
 
 #include <array>

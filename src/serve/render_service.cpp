@@ -89,12 +89,6 @@ u32 OutcomeTagId(RequestStatus status) {
   return ids[static_cast<std::size_t>(status)];
 }
 
-u32 ModeTagId(dispatch::Mode mode) {
-  static const u32 ids[2] = {obs::InternString("locked"),
-                             obs::InternString("lockfree")};
-  return ids[static_cast<std::size_t>(mode)];
-}
-
 /// Chunk size of the incremental full-queue expiry sweep at admission: the
 /// bounded work an admit pays per attempt to free a seat.
 constexpr std::size_t kAdmitSweepChunk = 32;
@@ -121,8 +115,7 @@ const char* RequestStatusName(RequestStatus status) {
   return "?";
 }
 
-/// One admitted request waiting in the queue. Pooled: entries recycle
-/// through pending_pool_, keeping their grown request/key storage.
+/// One admitted request waiting in the queue.
 struct RenderService::Pending {
   RenderRequest request;
   std::promise<RenderResponse> promise;
@@ -131,8 +124,7 @@ struct RenderService::Pending {
   /// Absolute deadline; Clock::time_point::max() when none.
   Clock::time_point deadline = Clock::time_point::max();
   u64 sequence = 0;
-  /// Trace correlation id (flow of every span this request emits). Assigned
-  /// at every admission; 0 only on recycled entries not yet re-armed.
+  /// Trace correlation id (flow of every span this request emits).
   u64 request_id = 0;
   /// Trace-clock submit stamp (obs::TraceNowNs — NOT the scheduling clock),
   /// recorded only under full tracing; 0 otherwise. Start of the request's
@@ -157,10 +149,6 @@ struct RenderService::Pending {
     return sequence < other.sequence;
   }
 };
-
-void RenderService::PendingDeleter::operator()(Pending* entry) const {
-  if (entry != nullptr && pool != nullptr) pool->Release(entry);
-}
 
 /// One issued engine batch. Owns everything the render references until the
 /// completion half runs: the coalesced requests, the acquired pipeline and
@@ -197,14 +185,6 @@ RenderService::RenderService(RenderServiceOptions options)
       clock_(options.clock ? *options.clock : SystemClock()),
       engine_(options.engine),
       governor_(options.ladder, options.queue_capacity),
-      mode_(dispatch::ActiveMode()),
-      // Enough recycled entries for the full queue plus every coalesced
-      // in-flight batch; past that Acquire degrades to the heap, never
-      // fails.
-      pending_pool_(std::make_shared<ObjectPool<Pending>>(
-          options.queue_capacity +
-          options.max_batch * options.max_inflight_batches + 8)),
-      inbox_(std::max<std::size_t>(options.queue_capacity, 1)),
       paused_(options.start_paused) {
   SPNERF_CHECK_MSG(options_.queue_capacity > 0,
                    "serve: queue capacity must be positive");
@@ -219,33 +199,11 @@ RenderService::RenderService(RenderServiceOptions options)
 RenderService::~RenderService() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stopping_.store(true, std::memory_order_seq_cst);
+    stopping_ = true;
     paused_ = false;
   }
   work_cv_.notify_all();
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Shed fast-path stragglers that raced the stopping flag into the inbox
-  // after the dispatcher's final drain: their futures must still resolve.
-  Pending* raw = nullptr;
-  while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw, PendingDeleter{pending_pool_});
-    queued_count_.fetch_sub(1, std::memory_order_relaxed);
-    Shed(*entry, RequestStatus::kRejected);
-  }
-}
-
-RenderService::PendingHandle RenderService::AcquirePending() {
-  Pending* entry = pending_pool_->Acquire();
-  // Re-arm the recycled entry: the promise's previous shared state was
-  // consumed by its last use; request/key fields are overwritten by the
-  // caller (their string/vector storage keeps its capacity — the win).
-  entry->promise = std::promise<RenderResponse>{};
-  entry->deadline = Clock::time_point::max();
-  entry->sequence = 0;
-  entry->request_id = 0;
-  entry->trace_submit_ns = 0;
-  entry->trace_key_id = 0;
-  return PendingHandle(entry, PendingDeleter{pending_pool_});
 }
 
 void RenderService::Shed(Pending& entry, RequestStatus status) {
@@ -276,7 +234,6 @@ void RenderService::Shed(Pending& entry, RequestStatus status) {
     ev.flow = entry.request_id;
     ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
     ev.AddStrArg("key", entry.trace_key_id);
-    ev.AddStrArg("mode", ModeTagId(mode_));
     ev.AddStrArg("outcome", OutcomeTagId(status));
     obs::Emit(ev);
   }
@@ -286,21 +243,6 @@ void RenderService::Shed(Pending& entry, RequestStatus status) {
 void RenderService::DecKeyCountLocked(const std::string& key) {
   auto it = key_counts_.find(key);
   if (it != key_counts_.end() && --it->second == 0) key_counts_.erase(it);
-}
-
-void RenderService::DrainInboxLocked() {
-  Pending* raw = nullptr;
-  while (inbox_.TryPop(raw)) {
-    PendingHandle entry(raw, PendingDeleter{pending_pool_});
-    // Inbox FIFO order is submission order per producer, so assigning the
-    // sequence here preserves the FIFO tie-break a locked-mode submit would
-    // have gotten under the mutex.
-    entry->sequence = next_sequence_++;
-    ++key_counts_[entry->batch_key];
-    queue_.push_back(std::move(entry));
-  }
-  // queued_count_ is unchanged: inbox entries were counted when their seat
-  // was claimed at admission.
 }
 
 bool RenderService::SweepSomeExpiredLocked(
@@ -321,7 +263,6 @@ bool RenderService::SweepSomeExpiredLocked(
         // scheduling decision ranks by Outranks(), never by position.
         queue_[sweep_pos_] = std::move(queue_.back());
         queue_.pop_back();
-        queued_count_.fetch_sub(1, std::memory_order_relaxed);
         freed = true;
       } else {
         ++sweep_pos_;
@@ -336,22 +277,8 @@ bool RenderService::SweepSomeExpiredLocked(
   return freed;
 }
 
-void RenderService::WakeDispatcher() {
-  // Producer half of the dispatcher eventcount. The inbox push is already
-  // done; the fence orders it against the parked-flag read (Dekker with the
-  // dispatcher's seq_cst parked store + fence + inbox check): whichever
-  // side's seq_cst step comes first in the total order, either the
-  // dispatcher's predicate sees the push or this sees the announcement and
-  // notifies under the lock.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (dispatcher_parked_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    work_cv_.notify_all();
-  }
-}
-
 std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
-  PendingHandle entry = AcquirePending();
+  auto entry = std::make_unique<Pending>();
   entry->request = std::move(request);
   // Execution policy is service-owned: normalising the ignored engine
   // fields keeps requests differing only in them on one batch key and one
@@ -371,90 +298,32 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
     // Stamp the span start on the trace clock and intern the batch key once
     // per request — every later event of this request reuses both. The
     // intern lookup is lock-free (allocation only on a key's first-ever
-    // occurrence); recording stays lock-free end to end.
+    // occurrence), so tracing adds no lock to admission.
     entry->trace_submit_ns = obs::TraceNowNs();
     entry->trace_key_id = obs::InternString(entry->batch_key);
     obs::EmitInstant("serve", "admit", entry->request_id);
   }
   std::future<RenderResponse> future = entry->promise.get_future();
 
-  if (stopping_.load(std::memory_order_acquire)) {
-    stats_.RecordSubmitted(0);
-    Shed(*entry, RequestStatus::kRejected);
-    return future;
-  }
-
-  if (mode_ == dispatch::Mode::kLockFree) {
-    // Admission fast path: claim a seat below capacity by CAS and ride the
-    // inbox ring to the dispatcher — no mutex anywhere. The dispatcher
-    // assigns the sequence when it folds the inbox in, which preserves
-    // submission order per producer (inbox is FIFO).
-    std::size_t n = queued_count_.load(std::memory_order_relaxed);
-    while (n < options_.queue_capacity) {
-      if (!queued_count_.compare_exchange_weak(n, n + 1,
-                                               std::memory_order_relaxed)) {
-        continue;
-      }
-      Pending* raw = entry.release();
-      if (!inbox_.TryPush(raw)) {
-        // Unreachable in steady state — the seat count bounds inbox
-        // occupancy by its capacity — but tolerate it: return the seat and
-        // take the locked path.
-        entry = PendingHandle(raw, PendingDeleter{pending_pool_});
-        queued_count_.fetch_sub(1, std::memory_order_relaxed);
-        break;
-      }
-      stats_.RecordSubmitted(n + 1);
-      WakeDispatcher();
-      return future;
-    }
-    // Queue full: shed/evict decisions need the ranked queue — fall
-    // through to the locked slow path (which still resolves every shed
-    // future before returning).
-  }
-  return SubmitLocked(std::move(entry), std::move(future));
-}
-
-std::future<RenderResponse> RenderService::SubmitLocked(
-    PendingHandle entry, std::future<RenderResponse> future) {
   std::unique_lock<std::mutex> lock(mutex_);
-  // Fold any inbox backlog in first: the capacity and eviction decisions
-  // below must rank against every admitted request, and this entry's
-  // sequence must come after theirs (they were submitted earlier).
-  DrainInboxLocked();
-  entry->sequence = next_sequence_++;
-  if (stopping_.load(std::memory_order_relaxed)) {
+  if (stopping_) {
     lock.unlock();
     stats_.RecordSubmitted(0);
     Shed(*entry, RequestStatus::kRejected);
     return future;
   }
-
-  // The atomic seat count — not queue_.size() — is the one capacity gate:
-  // lock-free admitters race this CAS without the lock.
-  auto claim_seat = [this] {
-    std::size_t n = queued_count_.load(std::memory_order_relaxed);
-    while (n < options_.queue_capacity) {
-      if (queued_count_.compare_exchange_weak(n, n + 1,
-                                              std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  };
+  entry->sequence = next_sequence_++;
 
   std::vector<PendingHandle> dead;
-  bool seated = claim_seat();
-  if (!seated) {
-    // A full queue may be holding already-expired entries; shed those
-    // first — dead work must neither consume capacity nor hold its
-    // (earliest-deadline, hence highest) rank against live arrivals.
-    if (SweepSomeExpiredLocked(clock_.Now(), dead)) seated = claim_seat();
-  }
+  // A full queue may be holding already-expired entries; shed those first —
+  // dead work must neither consume capacity nor hold its (earliest-deadline,
+  // hence highest) rank against live arrivals.
+  const bool seated = queue_.size() < options_.queue_capacity ||
+                      SweepSomeExpiredLocked(clock_.Now(), dead);
   if (seated) {
     ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
-    const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+    const std::size_t depth = queue_.size();
     lock.unlock();
     for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
     stats_.RecordSubmitted(depth);
@@ -462,10 +331,11 @@ std::future<RenderResponse> RenderService::SubmitLocked(
     return future;
   }
 
-  // Still full of live work: degrade over reject — open the governor's
-  // pressure window before any shedding decision, so subsequent issues run
-  // cheap rungs, the queue drains faster and the next admission finds a
-  // seat instead of this dead end. (A disabled governor ignores it.)
+  // Still full of live work (the sweep freed nothing, so `dead` is empty):
+  // degrade over reject — open the governor's pressure window before any
+  // shedding decision, so subsequent issues run cheap rungs, the queue
+  // drains faster and the next admission finds a seat instead of this dead
+  // end. (A disabled governor ignores it.)
   if (governor_.Enabled()) governor_.NotePressure();
 
   // Load shedding: drop the lowest-ranked request
@@ -484,19 +354,15 @@ std::future<RenderResponse> RenderService::SubmitLocked(
     DecKeyCountLocked(evicted->batch_key);
     ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
-    // The evicted entry's seat transfers to the incoming one:
-    // queued_count_ is unchanged.
-    const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+    const std::size_t depth = queue_.size();
     lock.unlock();
-    for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
     stats_.RecordSubmitted(depth);
     Shed(*evicted, RequestStatus::kRejected);
     work_cv_.notify_one();
     return future;
   }
-  const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+  const std::size_t depth = queue_.size();
   lock.unlock();
-  for (PendingHandle& e : dead) Shed(*e, RequestStatus::kExpired);
   stats_.RecordSubmitted(depth);
   Shed(*entry, RequestStatus::kRejected);
   return future;
@@ -514,16 +380,13 @@ void RenderService::Drain() {
   Start();
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [this] {
-    return (queued_count_.load(std::memory_order_relaxed) == 0 &&
-            inflight_batches_ == 0) ||
-           stopping_.load(std::memory_order_relaxed);
+    return (queue_.empty() && inflight_batches_ == 0) || stopping_;
   });
 }
 
 std::size_t RenderService::QueueDepth() const {
-  // Admitted and not yet dispatched or shed, inbox included — maintained
-  // atomically in both modes, so no lock.
-  return queued_count_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
 }
 
 std::size_t RenderService::InflightBatches() const {
@@ -623,7 +486,6 @@ void RenderService::CompleteBatch(
         ev.flow = entry.request_id;
         ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
         ev.AddStrArg("key", entry.trace_key_id);
-        ev.AddStrArg("mode", ModeTagId(mode_));
         ev.AddStrArg("outcome", OutcomeTagId(RequestStatus::kCompleted));
         obs::Emit(ev);
       }
@@ -738,35 +600,22 @@ void RenderService::DispatcherLoop() {
     std::vector<PendingHandle> expired;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // Park announcement (Dekker pair with WakeDispatcher): parked is set
-      // seq_cst before the wait predicate reads the inbox, and a producer
-      // pushes before its fence + parked read — whichever side's seq_cst
-      // step comes first in the total order, either the predicate sees the
-      // push or the producer sees the announcement and notifies under the
-      // lock.
-      dispatcher_parked_.store(true, std::memory_order_seq_cst);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
       work_cv_.wait(lock, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !inbox_.Empty() ||
+        return stopping_ ||
                (!paused_ &&
                 inflight_batches_ < options_.max_inflight_batches &&
                 HasDispatchableLocked());
       });
-      dispatcher_parked_.store(false, std::memory_order_relaxed);
-      // Fold admissions in before any decision: sequences, key counts and
-      // the ranked queue must cover every entry admitted so far.
-      DrainInboxLocked();
 
-      if (stopping_.load(std::memory_order_relaxed)) {
+      if (stopping_) {
         // Complete the backlog as rejected so no future dangles, then wait
         // out the in-flight batches — their completion halves touch the
-        // service and must finish before it tears down.
+        // service and must finish before it tears down. Admission checks
+        // stopping_ under this lock, so nothing joins the queue after the
+        // swap.
         std::vector<PendingHandle> drained;
         drained.swap(queue_);
         key_counts_.clear();
-        if (!drained.empty()) {
-          queued_count_.fetch_sub(drained.size(), std::memory_order_relaxed);
-        }
         work_cv_.wait(lock, [this] { return inflight_batches_ == 0; });
         lock.unlock();
         for (PendingHandle& entry : drained) {
@@ -799,9 +648,6 @@ void RenderService::DispatcherLoop() {
           ++write;
         }
         queue_.resize(write);
-        if (!expired.empty()) {
-          queued_count_.fetch_sub(expired.size(), std::memory_order_relaxed);
-        }
 
         if (best != kNoBest) {
           batch = std::make_shared<InflightBatch>();
@@ -809,10 +655,10 @@ void RenderService::DispatcherLoop() {
           // Quality-ladder decision, made once per batch at issue time. A
           // pure function of (priority, remaining deadline on the service
           // clock, queue depth now, cost model), so a staged backlog
-          // replays the identical rung sequence in any dispatch mode at
-          // any worker count. A disabled governor always answers kFull.
-          const std::size_t depth_at_issue =
-              queued_count_.load(std::memory_order_relaxed);
+          // replays the identical rung sequence at any worker count. A
+          // disabled governor always answers kFull. The depth is taken
+          // after expiry compaction and before the batch leaves the queue.
+          const std::size_t depth_at_issue = queue_.size();
           const auto decide_rung = [&](const Pending& e) {
             const bool has_deadline =
                 e.deadline != Clock::time_point::max();
@@ -827,7 +673,6 @@ void RenderService::DispatcherLoop() {
           DecKeyCountLocked(batch->key);
           batch->entries.push_back(std::move(queue_[best]));
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-          std::size_t removed = 1;
           // Coalesce only when the key count says a mate exists — the
           // batch-size-1 fast path skips the scan entirely. Mates join in
           // scheduling order, not submission order: when max_batch binds,
@@ -863,10 +708,8 @@ void RenderService::DispatcherLoop() {
                                             return e == nullptr;
                                           }),
                            queue_.end());
-              removed += mates.size();
             }
           }
-          queued_count_.fetch_sub(removed, std::memory_order_relaxed);
           inflight_keys_.insert(batch->key);
           ++inflight_batches_;
           batch->dispatch_index = next_dispatch_++;
@@ -883,7 +726,7 @@ void RenderService::DispatcherLoop() {
           }
         }
       }
-      const std::size_t depth = queued_count_.load(std::memory_order_relaxed);
+      const std::size_t depth = queue_.size();
       stats_.RecordQueueDepth(depth);
       // Close the pressure window once the backlog has drained below the
       // low-water mark (no-op while it isn't open).

@@ -16,14 +16,9 @@
 //     status) if the incoming one outranks it; otherwise the incoming
 //     request is rejected immediately. The service never grows an unbounded
 //     backlog — overload turns into rejections, not latency collapse.
-//     Under the default lock-free dispatch mode (SPNF_DISPATCH, captured at
-//     construction), admission with a free seat is lock-free: the entry —
-//     recycled from a fixed slab pool, never a fresh allocation — claims a
-//     seat by CAS on the queued count and rides a bounded MPMC inbox ring
-//     to the dispatcher, which folds the inbox into the ranked queue at its
-//     own serialization point. Only a full queue (shed/evict decisions) or
-//     the locked oracle mode takes the service mutex, so overflow futures
-//     still resolve before Submit returns in every mode.
+//     Admission is one step under the service mutex: the capacity check,
+//     any expiry sweep or eviction, and the entry's place in the ranked
+//     queue. Every shed future resolves before Submit returns.
 //   * Scheduling order. Highest priority first; within a priority class,
 //     earliest absolute deadline first (requests without a deadline sort
 //     last); FIFO as the tie-break. Deterministic for a fixed submit order.
@@ -76,9 +71,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/dispatch.hpp"
-#include "common/mpmc_queue.hpp"
-#include "common/object_pool.hpp"
 #include "core/pipeline_repository.hpp"
 #include "serve/quality_governor.hpp"
 #include "serve/service_stats.hpp"
@@ -220,34 +212,8 @@ class RenderService {
   struct Pending;
   struct InflightBatch;
 
-  /// Routes recycled entries back to the slab pool (pure heap strays are
-  /// deleted there). Co-owns the pool: the last handles of a batch die on a
-  /// pool worker when the InflightBatch's final reference drops, which can
-  /// happen after the service destructor was already unblocked — the
-  /// captured shared_ptr keeps the slab alive until then (same contract as
-  /// the engine's batch pool). Out-of-line call operator: Pending is
-  /// complete only in the .cpp.
-  struct PendingDeleter {
-    std::shared_ptr<ObjectPool<Pending>> pool;
-    void operator()(Pending* entry) const;
-  };
-  /// Owning handle over a pooled Pending. Destruction recycles the entry —
-  /// its grown string/config storage included — instead of freeing it.
-  using PendingHandle = std::unique_ptr<Pending, PendingDeleter>;
+  using PendingHandle = std::unique_ptr<Pending>;
 
-  /// Pops a recycled entry from pending_pool_ (heap fallback past the cap)
-  /// and re-arms its promise.
-  [[nodiscard]] PendingHandle AcquirePending();
-  /// Admission slow path (and the whole locked-mode path): folds the inbox
-  /// into the ranked queue under mutex_, then seats, evicts or rejects the
-  /// entry exactly like the pre-lock-free service did. Every shed future is
-  /// resolved before this returns.
-  std::future<RenderResponse> SubmitLocked(PendingHandle entry,
-                                           std::future<RenderResponse> future);
-  /// Producer half of the dispatcher eventcount: publish (the inbox push),
-  /// seq_cst fence, then lock + notify only when the dispatcher announced
-  /// itself parked.
-  void WakeDispatcher();
   void DispatcherLoop();
   /// Issue half, heavy part: acquires the pipeline, builds the jobs and
   /// hands the batch to RenderEngine::SubmitBatch. Runs as a detached task
@@ -265,11 +231,6 @@ class RenderService {
   void ReleaseBatch(const InflightBatch& batch);
   /// Completes `entry` as shed with `status` and records stats.
   void Shed(Pending& entry, RequestStatus status);
-  /// Moves every inbox entry into the ranked queue (assigning its sequence
-  /// — inbox FIFO order is submission order for each producer) and its key
-  /// count. Caller must hold mutex_. queued_count_ is unchanged: inbox
-  /// entries were counted when their seat was claimed at admission.
-  void DrainInboxLocked();
   /// Incremental expiry sweep for a full-queue admission: scans bounded
   /// chunks from a rotating cursor and stops as soon as one seat frees, so
   /// an admit over a deep backlog of expired entries does O(chunk) work,
@@ -296,44 +257,21 @@ class RenderService {
   /// Quality-ladder policy (options_.ladder); a disabled governor always
   /// answers kFull.
   QualityGovernor governor_;
-  /// Dispatch mode, captured once at construction (common/dispatch.hpp).
-  /// kLocked routes every Submit through SubmitLocked — the pre-lock-free
-  /// mutex path, kept as the differential oracle.
-  dispatch::Mode mode_;
 
-  /// Recycled request entries: admission acquires, the handle's deleter
-  /// releases. Sized for the queue plus every coalesced in-flight batch, so
-  /// the steady-state serving path never allocates per request. Held by
-  /// shared_ptr because every handle's deleter co-owns it (see
-  /// PendingDeleter).
-  std::shared_ptr<ObjectPool<Pending>> pending_pool_;
-  /// Lock-free admission inbox (bounded MPMC ring). Fast-path Submit pushes
-  /// raw entry pointers here; only the dispatcher (or a slow-path Submit)
-  /// pops, folding them into queue_ under mutex_.
-  MpmcQueue<Pending*> inbox_;
-  /// Entries admitted and not yet dispatched or shed == inbox occupancy +
-  /// queue_.size(). The admission capacity gate in both modes: a seat is
-  /// claimed by CAS below queue_capacity, so the lock-free fast path and
-  /// the locked slow path share one source of truth.
-  std::atomic<std::size_t> queued_count_{0};
-  /// Dispatcher parked-announcement flag for WakeDispatcher's eventcount.
-  std::atomic<bool> dispatcher_parked_{false};
   /// Request correlation ids for the tracing layer: every admitted request
-  /// gets one (relaxed fetch_add — stays on the lock-free fast path), and
+  /// gets one (relaxed fetch_add, before admission takes the lock), and
   /// every span/instant of its lifetime carries it as the trace flow id.
   std::atomic<u64> next_request_id_{1};
-  /// Atomic so the lock-free fast path can check shutdown without the lock;
-  /// stragglers that race the flag are shed by the destructor's final inbox
-  /// drain.
-  std::atomic<bool> stopping_{false};
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   // dispatcher wakeups
   std::condition_variable idle_cv_;   // Drain() wakeups
-  std::vector<PendingHandle> queue_;  // guarded by mutex_
-  /// Queued entries per batch key (inbox excluded until drained). Lets the
-  /// dispatcher skip the coalescing mate-scan entirely when the chosen
-  /// request is the only one of its key — the batch-size-1 fast path.
+  /// Admitted requests not yet dispatched or shed. Its size is the
+  /// admission capacity gate. Guarded by mutex_.
+  std::vector<PendingHandle> queue_;
+  /// Queued entries per batch key. Lets the dispatcher skip the coalescing
+  /// mate-scan entirely when the chosen request is the only one of its
+  /// key — the batch-size-1 fast path.
   std::unordered_map<std::string, std::size_t> key_counts_;  // guarded by mutex_
   std::unordered_set<std::string> inflight_keys_;  // guarded by mutex_
   std::size_t inflight_batches_ = 0;  // guarded by mutex_
@@ -341,6 +279,7 @@ class RenderService {
   u64 next_sequence_ = 0;             // guarded by mutex_
   u64 next_dispatch_ = 0;             // guarded by mutex_
   bool paused_ = false;               // guarded by mutex_
+  bool stopping_ = false;             // guarded by mutex_
   std::thread dispatcher_;
 };
 

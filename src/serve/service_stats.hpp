@@ -14,10 +14,9 @@
 // one.
 //
 // The counter side of the collector is lock-free (relaxed atomics +
-// CAS-max for the queue peak): RecordSubmitted sits on the RenderService
-// admission fast path, which must not reintroduce a lock behind the
-// service's own lock-free inbox. Only latency recording (completion path)
-// and Snapshot() take the internal mutex.
+// CAS-max for the queue peak), so RenderService admission records without
+// taking a second lock. Only latency recording (completion path) and
+// Snapshot() take the internal mutex.
 #pragma once
 
 #include <array>
@@ -133,7 +132,7 @@ struct ServiceStatsSnapshot {
 
 /// Thread-safe collector the RenderService reports into. Counter mutators
 /// (submitted/rejected/expired/batch/queue-depth) are lock-free — they sit
-/// on the admission fast path; RecordCompleted and Snapshot() take the
+/// on the admission path; RecordCompleted and Snapshot() take the
 /// internal mutex for the latency reservoirs. Snapshot() is consistent for
 /// any quiesced service; while mutators race it, individual counters are
 /// each correct but may be from moments a few operations apart. The

@@ -211,7 +211,7 @@ TEST(Exporters, PrometheusNameSanitizes) {
 TEST(Exporters, PrometheusGoldenRoundTrip) {
   obs::MetricsSnapshot snap;
   snap.counters.push_back({"serve/submitted", 12});
-  snap.gauges.push_back({"pool/tokens", -3});
+  snap.gauges.push_back({"test/level", -3});
   Histogram hist;
   hist.Record(1);
   hist.Record(1);
@@ -223,8 +223,8 @@ TEST(Exporters, PrometheusGoldenRoundTrip) {
   const std::string expected =
       "# TYPE spnerf_serve_submitted_total counter\n"
       "spnerf_serve_submitted_total 12\n"
-      "# TYPE spnerf_pool_tokens gauge\n"
-      "spnerf_pool_tokens -3\n"
+      "# TYPE spnerf_test_level gauge\n"
+      "spnerf_test_level -3\n"
       "# TYPE spnerf_serve_queue_us histogram\n"
       "spnerf_serve_queue_us_bucket{le=\"1\"} 2\n"
       "spnerf_serve_queue_us_bucket{le=\"9\"} 3\n"

@@ -8,24 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/dispatch.hpp"
-
 namespace spnerf {
 namespace {
-
-/// Flips the process-global dispatch mode for one scope; pools constructed
-/// inside pick it up, everything after sees the previous mode again.
-class ScopedDispatchMode {
- public:
-  explicit ScopedDispatchMode(dispatch::Mode mode)
-      : previous_(dispatch::SetActiveMode(mode)) {}
-  ~ScopedDispatchMode() { dispatch::SetActiveMode(previous_); }
-  ScopedDispatchMode(const ScopedDispatchMode&) = delete;
-  ScopedDispatchMode& operator=(const ScopedDispatchMode&) = delete;
-
- private:
-  dispatch::Mode previous_;
-};
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   const std::size_t n = 100000;
@@ -257,68 +241,59 @@ TEST(ThreadPool, ThrowingRegionBodyPropagatesWithoutWedgingThePool) {
   EXPECT_EQ(total.load(), 4);
 }
 
-TEST(ThreadPool, BothDispatchModesCoverEverySlotAndIndex) {
-  // The differential contract in miniature: a pool constructed under each
-  // SPNF_DISPATCH mode runs the same blocking, detached and ParallelFor
-  // workloads to the same effects. (CI additionally runs the whole suite
-  // under each mode via the environment override.)
-  for (dispatch::Mode mode :
-       {dispatch::Mode::kLocked, dispatch::Mode::kLockFree}) {
-    ScopedDispatchMode scoped(mode);
+TEST(ThreadPool, ConcurrentDetachedSubmitsCompleteBeforeDestruction) {
+  // Several threads pile detached regions onto one pool while its workers
+  // are held inside the first slots, so every region is live at once —
+  // hundreds per submitter. The pool is then destroyed without waiting:
+  // the destructor must drain them all, every slot and every completion
+  // must run exactly once, and each completion must see all of its
+  // region's slots done.
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kRegionsEach = 300;
+  constexpr std::size_t kRegions = kSubmitters * kRegionsEach;
+  constexpr unsigned kSlots = 4;
+  std::vector<std::atomic<int>> slot_hits(kRegions * kSlots);
+  std::vector<std::atomic<int>> completions(kRegions);
+  std::vector<std::atomic<int>> slots_seen_at_completion(kRegions);
+  for (auto& h : slot_hits) h = 0;
+  for (auto& c : completions) c = 0;
+  for (auto& s : slots_seen_at_completion) s = -1;
+  std::atomic<bool> release{false};
+  {
     ThreadPool pool(4);
-    EXPECT_EQ(pool.Mode(), mode);
-
-    std::atomic<int> slot_total{0};
-    for (int round = 0; round < 20; ++round) {
-      pool.RunOnWorkers(4, [&](unsigned) { ++slot_total; });
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t r = 0; r < kRegionsEach; ++r) {
+          const std::size_t region = t * kRegionsEach + r;
+          pool.Submit(
+              kSlots,
+              [&, region](unsigned slot) {
+                while (!release.load()) std::this_thread::yield();
+                ++slot_hits[region * kSlots + slot];
+              },
+              [&, region] {
+                int done = 0;
+                for (unsigned s = 0; s < kSlots; ++s) {
+                  done += slot_hits[region * kSlots + s].load();
+                }
+                slots_seen_at_completion[region] = done;
+                ++completions[region];
+              });
+        }
+      });
     }
-    EXPECT_EQ(slot_total.load(), 80) << dispatch::ModeName(mode);
-
-    std::atomic<int> detached_total{0};
-    std::promise<void> done;
-    pool.Submit(
-        4, [&](unsigned) { ++detached_total; },
-        [&] { done.set_value(); });
-    done.get_future().wait();
-    EXPECT_EQ(detached_total.load(), 4) << dispatch::ModeName(mode);
-
-    const std::size_t n = 20000;
-    std::vector<int> hits(n, 0);
-    ParallelFor(
-        n,
-        [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) ++hits[i];
-        },
-        /*max_threads=*/0, &pool);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i], 1) << dispatch::ModeName(mode) << " index " << i;
-    }
+    for (std::thread& s : submitters) s.join();
+    release = true;
+  }  // destroyed with the whole backlog still queued
+  for (std::size_t i = 0; i < slot_hits.size(); ++i) {
+    ASSERT_EQ(slot_hits[i].load(), 1) << "slot " << i;
   }
-}
-
-TEST(ThreadPool, TinyTokenRingSpillsToOverflowCorrectly) {
-  // A deliberately undersized token ring forces the overflow path (tokens
-  // beyond the ring spill to the mutex-guarded list): many concurrent
-  // regions must still all complete with every slot run exactly once.
-  ScopedDispatchMode scoped(dispatch::Mode::kLockFree);
-  ThreadPool pool(4, /*token_capacity=*/2);
-  constexpr std::size_t kThreads = 3;
-  constexpr int kRounds = 40;
-  std::vector<std::atomic<int>> totals(kThreads);
-  for (auto& t : totals) t = 0;
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        pool.RunOnWorkers(4, [&](unsigned slot) {
-          ASSERT_LT(slot, 4u);
-          ++totals[t];
-        });
-      }
-    });
+  for (std::size_t r = 0; r < kRegions; ++r) {
+    ASSERT_EQ(completions[r].load(), 1) << "region " << r;
+    ASSERT_EQ(slots_seen_at_completion[r].load(), static_cast<int>(kSlots))
+        << "region " << r;
   }
-  for (std::thread& th : threads) th.join();
-  for (const auto& t : totals) EXPECT_EQ(t.load(), kRounds * 4);
 }
 
 TEST(ThreadPool, NestedParallelForCoversIndices) {

@@ -10,27 +10,12 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/dispatch.hpp"
 #include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "serve/load_generator.hpp"
 
 namespace spnerf {
 namespace {
-
-/// Flips the process-global dispatch mode for one scope; services and pools
-/// constructed inside pick it up, everything after sees the previous mode.
-class ScopedDispatchMode {
- public:
-  explicit ScopedDispatchMode(dispatch::Mode mode)
-      : previous_(dispatch::SetActiveMode(mode)) {}
-  ~ScopedDispatchMode() { dispatch::SetActiveMode(previous_); }
-  ScopedDispatchMode(const ScopedDispatchMode&) = delete;
-  ScopedDispatchMode& operator=(const ScopedDispatchMode&) = delete;
-
- private:
-  dispatch::Mode previous_;
-};
 
 /// Tiny build parameters so service tests stay fast; every test isolates
 /// itself behind a memory-only AssetCache (no disk store) and its own
@@ -384,7 +369,7 @@ TEST_F(ServeTest, FullTracingReconstructsRequestTimelines) {
   // every request's lifetime is reconstructible from the drained trace via
   // its flow id — an admit instant, a queue span nested inside the request
   // envelope span, and the envelope tagged with priority class, pipeline
-  // key, dispatch mode and outcome.
+  // key and outcome.
   obs::DrainTrace();  // discard events any earlier test left behind
   const obs::TraceLevel prev_level =
       obs::SetActiveTraceLevel(obs::TraceLevel::kFull);
@@ -426,7 +411,6 @@ TEST_F(ServeTest, FullTracingReconstructsRequestTimelines) {
     };
     EXPECT_EQ(tag("priority"), "normal");
     EXPECT_NE(tag("key"), "?");  // the interned pipeline key
-    EXPECT_TRUE(tag("mode") == "locked" || tag("mode") == "lockfree");
     EXPECT_EQ(tag("outcome"), "completed");
   }
   // Same key, one coalesced batch: the issue and complete spans ride the
@@ -528,122 +512,46 @@ TEST_F(ServeTest, TraceRendersIdenticallyAcrossWorkerCounts) {
   }
 }
 
-// -------------------------------------------------- dispatch modes ------
+// ---------------------------------------------------- staged backlog ----
 
-TEST_F(ServeTest, DispatchModesRenderIdenticallyAcrossWorkerCounts) {
-  // The lock-free path's differential oracle, end-to-end: the same trace
-  // replayed under SPNF_DISPATCH=locked and =lockfree must produce
-  // bit-identical images and identical outcome counters at every worker
-  // count. Batch composition under live replay is timing-dependent (and
-  // covered deterministically below); pixels and outcomes are not allowed
-  // to be.
-  LoadGeneratorOptions load;
-  load.request_count = 6;
-  load.arrival_rate_rps = 10000.0;  // effectively a burst
-  load.scenes = {SceneId::kMic};
-  load.hot_scene_count = 1;
-  load.base = SmallRequest();
-  const std::vector<TimedRequest> trace = LoadGenerator(load).GenerateTrace();
-
-  for (unsigned workers : {1u, 2u, 8u}) {
-    std::vector<std::vector<Image>> by_mode;
-    std::vector<ServiceStatsSnapshot> stats_by_mode;
-    for (dispatch::Mode mode :
-         {dispatch::Mode::kLocked, dispatch::Mode::kLockFree}) {
-      ScopedDispatchMode scoped(mode);
-      ThreadPool pool(workers);
-      RenderServiceOptions opts = PausedOptions(/*capacity=*/16);
-      opts.engine.pool = &pool;
-      opts.start_paused = false;
-      RenderService service(opts);
-      ReplayResult replay = ReplayTrace(service, trace);
-      service.Drain();
-      std::vector<Image> run;
-      for (RenderResponse& r : replay.responses) {
-        ASSERT_EQ(r.status, RequestStatus::kCompleted)
-            << dispatch::ModeName(mode) << " workers " << workers;
-        run.push_back(std::move(r.image));
-      }
-      by_mode.push_back(std::move(run));
-      stats_by_mode.push_back(service.Stats());
-    }
-    ASSERT_EQ(by_mode[0].size(), by_mode[1].size());
-    for (std::size_t i = 0; i < by_mode[0].size(); ++i) {
-      ASSERT_EQ(by_mode[1][i].Pixels(), by_mode[0][i].Pixels())
-          << "request " << i << " differs between modes at " << workers
-          << " workers";
-    }
-    EXPECT_EQ(stats_by_mode[1].submitted, stats_by_mode[0].submitted);
-    EXPECT_EQ(stats_by_mode[1].completed, stats_by_mode[0].completed);
-    EXPECT_EQ(stats_by_mode[1].rejected, stats_by_mode[0].rejected);
-    EXPECT_EQ(stats_by_mode[1].expired, stats_by_mode[0].expired);
-  }
-}
-
-TEST_F(ServeTest, DispatchModesAgreeOnSchedulingOfAStagedBacklog) {
-  // Deterministic half of the differential contract: a fully staged backlog
-  // (paused service) drains through identical scheduling decisions in both
-  // modes — per-request status, batch membership, dispatch order and every
-  // outcome counter, including admission-control eviction and rejection.
-  struct Outcome {
-    RequestStatus status;
-    std::size_t batch_size;
-    u64 dispatch_index;
+TEST_F(ServeTest, StagedBacklogEvictsRejectsAndCoalesces) {
+  // A fully staged backlog (paused service) drains through deterministic
+  // scheduling decisions: admission control evicts and rejects the
+  // batch-class entries, and the two interactive requests share the first
+  // batch.
+  RenderService service(PausedOptions(/*capacity=*/4, /*max_batch=*/2));
+  const std::vector<RequestPriority> priorities = {
+      RequestPriority::kNormal,      RequestPriority::kBatch,
+      RequestPriority::kInteractive, RequestPriority::kNormal,
+      RequestPriority::kInteractive,  // full queue: evicts the batch entry
+      RequestPriority::kBatch,        // full queue, lowest rank: rejected
   };
-  std::vector<std::vector<Outcome>> outcomes_by_mode;
-  std::vector<ServiceStatsSnapshot> stats_by_mode;
-  for (dispatch::Mode mode :
-       {dispatch::Mode::kLocked, dispatch::Mode::kLockFree}) {
-    ScopedDispatchMode scoped(mode);
-    RenderService service(PausedOptions(/*capacity=*/4, /*max_batch=*/2));
-    const std::vector<RequestPriority> priorities = {
-        RequestPriority::kNormal,      RequestPriority::kBatch,
-        RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kInteractive,  // full queue: evicts the batch entry
-        RequestPriority::kBatch,        // full queue, lowest rank: rejected
-    };
-    std::vector<std::future<RenderResponse>> futures;
-    for (std::size_t i = 0; i < priorities.size(); ++i) {
-      RenderRequest r = SmallRequest(SceneId::kMic, static_cast<int>(i));
-      r.priority = priorities[i];
-      futures.push_back(service.Submit(r));
-    }
-    service.Drain();
-    std::vector<Outcome> outcomes;
-    for (auto& f : futures) {
-      const RenderResponse r = f.get();
-      outcomes.push_back({r.status, r.batch_size, r.dispatch_index});
-    }
-    outcomes_by_mode.push_back(std::move(outcomes));
-    stats_by_mode.push_back(service.Stats());
+  std::vector<std::future<RenderResponse>> futures;
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    RenderRequest r = SmallRequest(SceneId::kMic, static_cast<int>(i));
+    r.priority = priorities[i];
+    futures.push_back(service.Submit(r));
   }
-  ASSERT_EQ(outcomes_by_mode[0].size(), outcomes_by_mode[1].size());
-  for (std::size_t i = 0; i < outcomes_by_mode[0].size(); ++i) {
-    EXPECT_EQ(outcomes_by_mode[1][i].status, outcomes_by_mode[0][i].status)
-        << "request " << i;
-    EXPECT_EQ(outcomes_by_mode[1][i].batch_size,
-              outcomes_by_mode[0][i].batch_size)
-        << "request " << i;
-    EXPECT_EQ(outcomes_by_mode[1][i].dispatch_index,
-              outcomes_by_mode[0][i].dispatch_index)
-        << "request " << i;
-  }
-  EXPECT_EQ(stats_by_mode[1].submitted, stats_by_mode[0].submitted);
-  EXPECT_EQ(stats_by_mode[1].completed, stats_by_mode[0].completed);
-  EXPECT_EQ(stats_by_mode[1].rejected, stats_by_mode[0].rejected);
-  EXPECT_EQ(stats_by_mode[1].expired, stats_by_mode[0].expired);
-  EXPECT_EQ(stats_by_mode[1].batches, stats_by_mode[0].batches);
-  EXPECT_EQ(stats_by_mode[1].queue_peak, stats_by_mode[0].queue_peak);
-  // Sanity on the scenario itself (not just cross-mode agreement): the two
-  // interactive requests share the first batch, the eviction and rejection
-  // landed on the batch-class entries.
-  const std::vector<Outcome>& o = outcomes_by_mode[0];
+  service.Drain();
+  std::vector<RenderResponse> o;
+  for (auto& f : futures) o.push_back(f.get());
   EXPECT_EQ(o[1].status, RequestStatus::kRejected);  // evicted by request 4
   EXPECT_EQ(o[5].status, RequestStatus::kRejected);  // shed at admission
-  EXPECT_EQ(o[2].status, RequestStatus::kCompleted);
-  EXPECT_EQ(o[4].status, RequestStatus::kCompleted);
+  for (const std::size_t i : {0u, 2u, 3u, 4u}) {
+    EXPECT_EQ(o[i].status, RequestStatus::kCompleted) << "request " << i;
+  }
   EXPECT_EQ(o[2].dispatch_index, o[4].dispatch_index);
   EXPECT_EQ(o[2].batch_size, 2u);
+  EXPECT_EQ(o[2].dispatch_index, 0u);  // interactive first
+  EXPECT_EQ(o[0].dispatch_index, 1u);  // then the two normal requests
+  EXPECT_EQ(o[3].dispatch_index, 1u);
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.expired, 0u);
+  EXPECT_EQ(stats.queue_peak, 4u);
 }
 
 TEST_F(ServeTest, DeepExpiredBacklogDoesNotStallAdmission) {
