@@ -49,10 +49,8 @@ int main(int argc, char** argv) {
       const TwoChoiceCodec ext = TwoChoiceCodec::Preprocess(
           vqrf, pc.spnerf.subgrid_count, entries);
       const CodecFieldSource<TwoChoiceCodec> src(ext);
-      RenderOptions opt = p->Config().render;
-      opt.coarse_skip = &p->Skip();
-      opt.octree_skip = &p->Octree();
-      const Image img = VolumeRenderer(opt).Render(src, p->GetMlp(), cam);
+      const Image img = VolumeRenderer(p->RenderOptionsWithSkip())
+                            .Render(src, p->GetMlp(), cam);
       std::printf("%-10s %-12s %9.2f%% %9.2f%% %9.2f %9.4f %10s\n",
                   SceneName(id), "two-choice", ext.ErrorRate() * 100.0,
                   ext.DropRate() * 100.0, Psnr(gt, img), Ssim(gt, img),

@@ -8,7 +8,6 @@
 //        [threads=0]
 #include "bench/bench_util.hpp"
 #include "core/pipeline.hpp"
-#include "render/skip_mode.hpp"
 
 int main(int argc, char** argv) {
   using namespace spnerf;
@@ -122,37 +121,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Octree-vs-flat empty-space-skipping sweep over scene sparsity. Both
-  // modes take the same lattice samples (enforced by test_wavefront), so
-  // images and every stat but the jump count match; flat crosses empty
-  // space one leaf cell per jump, the octree one empty node per jump, which
-  // pays off most in mostly-empty scenes and must at least break even in
-  // dense ones. The skip rate is therefore reported per mode; the plain
-  // names carry the acceptance numbers (from the mostly-empty scene), and
-  // sparsity-tagged twins keep the full sweep.
+  // Empty-space-skipping sweep over scene sparsity: the fraction of march
+  // iterations that were octree jumps rather than samples, per scene.
   {
     struct SweepScene {
       SceneId id;
       const char* sparsity;
-      bool headline;  // plain-named entries come from this scene
     };
     const SweepScene sweep[] = {
-        {SceneId::kMic, "mostly-empty", true},
-        {SceneId::kLego, "half", false},
-        {SceneId::kShip, "dense", false},
+        {SceneId::kMic, "mostly-empty"},
+        {SceneId::kLego, "half"},
+        {SceneId::kShip, "dense"},
     };
-    const int sweep_views = 2;  // ratio denominators, not scaling curves
+    const int sweep_views = 2;
     bench::PrintRule();
-    std::printf("octree-vs-flat skip sweep (%d views of %dx%d):\n",
-                sweep_views, size, size);
+    std::printf("skip sweep (%d views of %dx%d):\n", sweep_views, size, size);
     for (const SweepScene& s : sweep) {
       PipelineConfig sc = config;
       sc.scene_id = s.id;
       // Per-fine-voxel occupancy (factor 1): the regime a hierarchical
       // skip structure targets — at the default factor 4 a 64^3 scene has
-      // only 16^3 coarse cells and empty-space marching is a rounding
-      // error next to decode cost, so the flat-vs-octree difference would
-      // drown in timer noise.
+      // only 16^3 coarse cells.
       sc.coarse_factor = 1;
       const std::shared_ptr<const ScenePipeline> p =
           PipelineRepository::Global().Acquire(sc);
@@ -165,70 +154,23 @@ int main(int argc, char** argv) {
         job.mlp = &p->GetMlp();
         job.camera = p->MakeCamera(size, size, v, views);
         job.options = p->RenderOptionsWithSkip();
-        job.options.wavefront = true;
         job.collect_stats = true;
         sweep_jobs.push_back(job);
       }
-      // Skip rate: the fraction of march iterations that were empty-space
-      // jumps rather than samples.
-      const auto skip_rate = [](const std::vector<RenderResult>& results) {
-        u64 skips = 0, steps = 0;
-        for (const RenderResult& r : results) {
-          skips += r.stats.coarse_skips;
-          steps += r.stats.steps;
-        }
-        return skips + steps ? static_cast<double>(skips) /
-                                   static_cast<double>(skips + steps)
-                             : 0.0;
-      };
-      double rate[2] = {0.0, 0.0};  // indexed by skip::Mode
-      const auto timed = [&](skip::Mode mode, unsigned workers) {
-        const skip::Mode prev = skip::SetActiveMode(mode);
-        RenderEngineOptions opts;
-        opts.max_threads = workers;
-        // Min-of-k, adaptive k: the ratios below divide two short runs, so
-        // a single scheduling hiccup would otherwise dominate the reported
-        // number. Small smoke configs (res=48, 64x64 views) finish in tens
-        // of ms — keep repeating until ~300 ms of samples accumulate so the
-        // minimum is a real floor, not a lucky draw.
-        double best_ms = 0.0, spent_ms = 0.0;
-        for (int rep = 0; rep < 2 || (spent_ms < 300.0 && rep < 8); ++rep) {
-          const bench::WallTimer timer;
-          const std::vector<RenderResult> results =
-              RenderEngine(opts).RenderBatch(sweep_jobs);
-          const double wall_ms = timer.ElapsedMs();
-          spent_ms += wall_ms;
-          if (rep == 0 || wall_ms < best_ms) best_ms = wall_ms;
-          rate[static_cast<int>(mode)] = skip_rate(results);
-        }
-        skip::SetActiveMode(prev);
-        return best_ms;
-      };
-      const double flat_1t = timed(skip::Mode::kFlat, 1);
-      const double tree_1t = timed(skip::Mode::kOctree, 1);
-      const double flat_par = timed(skip::Mode::kFlat, parallel_workers);
-      const double tree_par = timed(skip::Mode::kOctree, parallel_workers);
-      const double r1 = tree_1t > 0.0 ? flat_1t / tree_1t : 0.0;
-      const double rp = tree_par > 0.0 ? flat_par / tree_par : 0.0;
-      std::printf("  %-12s (%s): skip-rate flat %.3f octree %.3f, "
-                  "flat %.1f ms octree %.1f ms [1t], "
-                  "octree-vs-flat %.2fx [1t] %.2fx [par]\n",
-                  SceneName(s.id), s.sparsity,
-                  rate[static_cast<int>(skip::Mode::kFlat)],
-                  rate[static_cast<int>(skip::Mode::kOctree)], flat_1t,
-                  tree_1t, r1, rp);
-      const auto add_entries = [&](const std::string& tag) {
-        for (const skip::Mode mode : {skip::Mode::kFlat, skip::Mode::kOctree}) {
-          json.Add(std::string("render/skip-rate[") + skip::ModeName(mode) +
-                       "]" + tag,
-                   rate[static_cast<int>(mode)], 1);
-        }
-        json.Add("ratio/octree-vs-flat" + tag + "[1t]", r1, 1);
-        json.Add("ratio/octree-vs-flat" + tag + "[par]", rp,
-                 parallel_workers);
-      };
-      add_entries(std::string("[") + s.sparsity + "]");
-      if (s.headline) add_entries("");
+      RenderEngineOptions opts;
+      opts.max_threads = parallel_workers;
+      u64 skips = 0, steps = 0;
+      for (const RenderResult& r : RenderEngine(opts).RenderBatch(sweep_jobs)) {
+        skips += r.stats.coarse_skips;
+        steps += r.stats.steps;
+      }
+      const double rate = skips + steps ? static_cast<double>(skips) /
+                                              static_cast<double>(skips + steps)
+                                        : 0.0;
+      std::printf("  %-12s (%s): skip-rate %.3f\n", SceneName(s.id),
+                  s.sparsity, rate);
+      json.Add(std::string("render/skip-rate[") + s.sparsity + "]", rate,
+               parallel_workers);
     }
   }
 

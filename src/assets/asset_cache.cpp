@@ -37,8 +37,9 @@ bool TryLoad(const std::string& path, LoadFn&& load) {
     load(in);
     return true;
   } catch (const std::exception& e) {
-    // Not just SpnerfError: a corrupt length field can surface as
-    // bad_alloc/length_error from a vector resize before any check fires.
+    // Not just SpnerfError: the loaders check every length field before
+    // allocating for it, but any other failure (an allocation the host
+    // cannot satisfy, an I/O error) is still a miss, never fatal.
     SPNERF_LOG_WARN << "asset cache: rejecting " << path << " (" << e.what()
                     << "); rebuilding";
     in.close();
@@ -76,10 +77,18 @@ std::shared_ptr<const SpNeRFModel> WrapCodec(
   return {owned, &owned->model};
 }
 
-std::shared_ptr<const CoarseOccupancy> MakeCoarseAsset(
-    const SceneDataset& dataset, int factor) {
-  return std::make_shared<const CoarseOccupancy>(
-      CoarseOccupancy::Build(BitGrid::FromGrid(dataset.full_grid), factor));
+/// The skip structure over a coarse bitmap: its octree, which keeps the
+/// bitmap as its leaf.
+std::shared_ptr<const OccupancyOctree> MakeSkipAsset(
+    const CoarseOccupancy& coarse) {
+  return std::make_shared<const OccupancyOctree>(
+      OccupancyOctree::Build(coarse));
+}
+
+/// Coarse skip bitmap from the full grid's occupancy: a superset of every
+/// lossy representation, so all pipelines march identical rays.
+CoarseOccupancy BuildCoarse(const SceneDataset& dataset, int factor) {
+  return CoarseOccupancy::Build(BitGrid::FromGrid(dataset.full_grid), factor);
 }
 
 }  // namespace
@@ -97,12 +106,7 @@ PipelineAssets BuildPipelineAssets(SceneId id, const DatasetParams& dp,
   PipelineAssets assets;
   assets.dataset = std::make_shared<const SceneDataset>(BuildDataset(id, dp));
   assets.codec = MakeCodecAsset(assets.dataset, sp);
-  // Coarse skip from the full grid's occupancy: a superset of every lossy
-  // representation, so all pipelines march identical rays. The octree is
-  // the coarse bitmap's bottom-up reduction (leaf level bit-identical).
-  assets.coarse = MakeCoarseAsset(*assets.dataset, coarse_factor);
-  assets.octree = std::make_shared<const OccupancyOctree>(
-      OccupancyOctree::Build(*assets.coarse));
+  assets.skip = MakeSkipAsset(BuildCoarse(*assets.dataset, coarse_factor));
   return assets;
 }
 
@@ -308,43 +312,17 @@ std::shared_ptr<const SpNeRFModel> AssetCache::AcquireCodec(
       [](std::ostream& out, const SpNeRFModel& v) { SaveSpNeRFModel(v, out); });
 }
 
-std::shared_ptr<const CoarseOccupancy> AssetCache::AcquireCoarse(
+std::shared_ptr<const OccupancyOctree> AssetCache::AcquireSkip(
     SceneId id, const DatasetParams& dp, int factor,
     const std::shared_ptr<const SceneDataset>& dataset) {
-  SPNERF_CHECK_MSG(dataset != nullptr, "AcquireCoarse needs a dataset");
-  return AcquireImpl<CoarseOccupancy>(
+  SPNERF_CHECK_MSG(dataset != nullptr, "AcquireSkip needs a dataset");
+  return AcquireImpl<OccupancyOctree>(
       CoarseAssetKey(DatasetAssetKey(id, dp), factor),
       std::string("coarse/") + SceneName(id), 1,
-      [&](std::istream& in) -> std::shared_ptr<const CoarseOccupancy> {
-        return std::make_shared<CoarseOccupancy>(LoadCoarseOccupancy(in));
-      },
-      [&] { return MakeCoarseAsset(*dataset, factor); },
-      [](std::ostream& out, const CoarseOccupancy& v) {
-        SaveCoarseOccupancy(v, out);
-      });
-}
-
-std::shared_ptr<const OccupancyOctree> AssetCache::AcquireOctree(
-    SceneId id, const DatasetParams& dp, int factor,
-    const std::shared_ptr<const CoarseOccupancy>& coarse) {
-  SPNERF_CHECK_MSG(coarse != nullptr, "AcquireOctree needs a coarse bitmap");
-  return AcquireImpl<OccupancyOctree>(
-      OctreeAssetKey(DatasetAssetKey(id, dp), factor),
-      std::string("octree/") + SceneName(id), 1,
-      [&](std::istream& in) -> std::shared_ptr<const OccupancyOctree> {
-        auto loaded =
-            std::make_shared<OccupancyOctree>(LoadOccupancyOctree(in));
-        SPNERF_CHECK_MSG(
-            loaded->LeafBits().Words() == coarse->Bits().Words(),
-            "octree asset leaf level disagrees with the coarse bitmap");
-        return loaded;
-      },
-      [&] {
-        return std::make_shared<const OccupancyOctree>(
-            OccupancyOctree::Build(*coarse));
-      },
+      [](std::istream& in) { return MakeSkipAsset(LoadCoarseOccupancy(in)); },
+      [&] { return MakeSkipAsset(BuildCoarse(*dataset, factor)); },
       [](std::ostream& out, const OccupancyOctree& v) {
-        SaveOccupancyOctree(v, out);
+        SaveCoarseOccupancy(v.Leaf(), out);
       });
 }
 
@@ -353,8 +331,7 @@ PipelineAssets AssetCache::Acquire(SceneId id, const DatasetParams& dp,
   PipelineAssets assets;
   assets.dataset = AcquireDataset(id, dp);
   assets.codec = AcquireCodec(id, dp, sp, assets.dataset);
-  assets.coarse = AcquireCoarse(id, dp, coarse_factor, assets.dataset);
-  assets.octree = AcquireOctree(id, dp, coarse_factor, assets.coarse);
+  assets.skip = AcquireSkip(id, dp, coarse_factor, assets.dataset);
   return assets;
 }
 

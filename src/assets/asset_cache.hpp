@@ -4,7 +4,10 @@
 // coarse-reduce — persist the artifact to the on-disk store, and keep the
 // live object in a bounded in-memory LRU; warm acquires return the shared
 // live object (memory hit) or deserialize the artifact (disk hit) instead
-// of rebuilding.
+// of rebuilding. The skip structure's live object is the occupancy octree,
+// but only its coarse leaf bitmap is persisted: a disk hit re-derives the
+// octree (OccupancyOctree::Build), which costs about what loading a stored
+// pyramid would and leaves one stored copy of the leaf bits.
 //
 // Keys come from assets/asset_key.hpp: they hash the scene id, every build
 // parameter and the format version, so any parameter change or format bump
@@ -21,7 +24,6 @@
 
 #include "assets/asset_key.hpp"
 #include "common/lru.hpp"
-#include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "scene/dataset.hpp"
 
@@ -47,8 +49,8 @@ struct AssetTimingEntry {
 struct PipelineAssets {
   std::shared_ptr<const SceneDataset> dataset;
   std::shared_ptr<const SpNeRFModel> codec;
-  std::shared_ptr<const CoarseOccupancy> coarse;
-  std::shared_ptr<const OccupancyOctree> octree;
+  /// Empty-space skip structure: the octree over the coarse bitmap.
+  std::shared_ptr<const OccupancyOctree> skip;
 };
 
 /// Preprocesses a codec over `dataset`, bundling the dataset with the model
@@ -97,16 +99,12 @@ class AssetCache {
       SceneId id, const DatasetParams& dp, const SpNeRFParams& sp,
       const std::shared_ptr<const SceneDataset>& dataset);
 
-  /// Coarse occupancy for one dataset + reduction factor.
-  std::shared_ptr<const CoarseOccupancy> AcquireCoarse(
+  /// Skip structure for one dataset + reduction factor: the occupancy
+  /// octree over the coarse bitmap. Persists only the coarse bitmap; a disk
+  /// hit derives the octree from it.
+  std::shared_ptr<const OccupancyOctree> AcquireSkip(
       SceneId id, const DatasetParams& dp, int factor,
       const std::shared_ptr<const SceneDataset>& dataset);
-
-  /// Occupancy octree reduced from `coarse` (which must have been acquired
-  /// for the same dataset + factor).
-  std::shared_ptr<const OccupancyOctree> AcquireOctree(
-      SceneId id, const DatasetParams& dp, int factor,
-      const std::shared_ptr<const CoarseOccupancy>& coarse);
 
   /// Everything a pipeline needs, acquired in dependency order.
   PipelineAssets Acquire(SceneId id, const DatasetParams& dp,

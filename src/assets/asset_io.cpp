@@ -178,45 +178,4 @@ CoarseOccupancy LoadCoarseOccupancy(std::istream& in) {
                                    factor);
 }
 
-// --- occupancy octree ----------------------------------------------------
-
-void SaveOccupancyOctree(const OccupancyOctree& tree, std::ostream& out) {
-  WriteAssetHeader(out, AssetPayloadKind::kOctree);
-  WritePod<i32>(out, tree.Factor());
-  WritePod<u32>(out, static_cast<u32>(tree.Levels()));
-  for (int l = 0; l < tree.Levels(); ++l) {
-    const BitGrid& level = tree.Level(l);
-    WritePod<i32>(out, level.Dims().nx);
-    WritePod<i32>(out, level.Dims().ny);
-    WritePod<i32>(out, level.Dims().nz);
-    WriteVector(out, level.Words());
-  }
-  SPNERF_CHECK_MSG(out.good(), "octree asset write failed");
-}
-
-OccupancyOctree LoadOccupancyOctree(std::istream& in) {
-  ExpectAssetHeader(in, AssetPayloadKind::kOctree);
-  const i32 factor = ReadPod<i32>(in);
-  SPNERF_CHECK_MSG(factor >= 1, "corrupt octree asset: factor " << factor);
-  const u32 level_count = ReadPod<u32>(in);
-  // 32 levels would be a 2^31-wide leaf grid; anything above is a corrupt
-  // length field, rejected before it can drive the read loop.
-  SPNERF_CHECK_MSG(level_count >= 1 && level_count <= 32,
-                   "corrupt octree asset: " << level_count << " levels");
-  std::vector<BitGrid> levels;
-  levels.reserve(level_count);
-  for (u32 l = 0; l < level_count; ++l) {
-    GridDims dims;
-    dims.nx = ReadPod<i32>(in);
-    dims.ny = ReadPod<i32>(in);
-    dims.nz = ReadPod<i32>(in);
-    SPNERF_CHECK_MSG(dims.nx > 0 && dims.ny > 0 && dims.nz > 0,
-                     "corrupt octree asset: non-positive level dims");
-    std::vector<u64> words = ReadVector<u64>(in);
-    levels.push_back(BitGrid::FromWords(dims, std::move(words)));
-  }
-  // FromLevels re-derives the reduction chain and throws on any mismatch.
-  return OccupancyOctree::FromLevels(std::move(levels), factor);
-}
-
 }  // namespace spnerf

@@ -14,7 +14,6 @@
 
 #include "assets/asset_key.hpp"
 #include "grid/occupancy.hpp"
-#include "grid/occupancy_octree.hpp"
 #include "scene/dataset.hpp"
 
 namespace spnerf {
@@ -27,7 +26,6 @@ enum class AssetPayloadKind : u32 {
   kDataset = 1,
   kCodec = 2,
   kCoarse = 3,
-  kOctree = 4,
 };
 
 /// Writes the shared artifact header (magic + version + kind).
@@ -53,15 +51,9 @@ void SaveSpNeRFModel(const SpNeRFModel& model, std::ostream& out);
 SpNeRFModel LoadSpNeRFModel(std::istream& in, const VqrfModel& source);
 
 // --- coarse occupancy ----------------------------------------------------
+// The skip structure's only artifact: the occupancy octree is derived from
+// it on acquire (assets/asset_cache.hpp).
 void SaveCoarseOccupancy(const CoarseOccupancy& coarse, std::ostream& out);
 CoarseOccupancy LoadCoarseOccupancy(std::istream& in);
-
-// --- occupancy octree ----------------------------------------------------
-// Stores the factor and every level root-first (dims + packed words). Load
-// goes through OccupancyOctree::FromLevels, which re-derives the whole
-// reduction chain from the leaf level and rejects any mismatch, so a
-// corrupt pyramid can never reach the marcher.
-void SaveOccupancyOctree(const OccupancyOctree& tree, std::ostream& out);
-OccupancyOctree LoadOccupancyOctree(std::istream& in);
 
 }  // namespace spnerf

@@ -102,12 +102,4 @@ AssetKey CoarseAssetKey(const AssetKey& dataset_key, int factor) {
   return {"coarse", b.Finish()};
 }
 
-AssetKey OctreeAssetKey(const AssetKey& dataset_key, int factor) {
-  AssetKeyBuilder b;
-  b.Field("format", static_cast<u64>(kAssetFormatVersion))
-      .Field("dataset", dataset_key.hash)
-      .Field("factor", static_cast<i64>(factor));
-  return {"octree", b.Finish()};
-}
-
 }  // namespace spnerf

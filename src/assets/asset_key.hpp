@@ -22,13 +22,15 @@ namespace spnerf {
 
 /// Bumped whenever any asset serialization layout changes. Hashing it into
 /// every key makes stale on-disk artifacts unreachable (miss, not error).
-/// v2: added the occupancy-octree artifact kind.
+/// v2: added an octree artifact kind, since retired. Retiring it changed no
+/// remaining artifact's bytes, so the version stayed and v2 stores stay
+/// warm; their octree files are simply never read.
 inline constexpr u32 kAssetFormatVersion = 2;
 
 /// Identity of one cached artifact: what kind it is plus the 16-hex-digit
 /// content hash of its build inputs.
 struct AssetKey {
-  std::string kind;  // "dataset" | "codec" | "coarse" | "octree"
+  std::string kind;  // "dataset" | "codec" | "coarse"
   std::string hash;  // 16 lowercase hex digits (FNV-1a 64)
 
   [[nodiscard]] std::string FileName() const {
@@ -73,10 +75,5 @@ AssetKey CodecAssetKey(const AssetKey& dataset_key, const SpNeRFParams& params);
 
 /// Key of the coarse occupancy skip structure for one dataset + factor.
 AssetKey CoarseAssetKey(const AssetKey& dataset_key, int factor);
-
-/// Key of the occupancy octree reduced from one dataset's coarse bitmap.
-/// Distinct from the coarse key: the pyramid is its own artifact, rebuilt
-/// independently if only its file is corrupted.
-AssetKey OctreeAssetKey(const AssetKey& dataset_key, int factor);
 
 }  // namespace spnerf

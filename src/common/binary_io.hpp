@@ -2,6 +2,7 @@
 // explicit sizes. Used by the model save/load paths.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -44,18 +45,25 @@ void WriteVector(std::ostream& out, const std::vector<T>& v) {
   SPNERF_CHECK_MSG(out.good(), "binary vector write failed");
 }
 
+/// Reads a length-prefixed vector. The vector grows as the bytes arrive,
+/// one bounded chunk at a time, so a length field the stream cannot back
+/// fails once the stream runs dry: the claimed length is never allocated
+/// (and zero-filled) up front.
 template <typename T>
 std::vector<T> ReadVector(std::istream& in, u64 max_elements = (1ull << 32)) {
   static_assert(std::is_trivially_copyable_v<T>);
+  constexpr u64 kChunkElements = std::max<u64>(1, (u64{1} << 20) / sizeof(T));
   const u64 n = ReadPod<u64>(in);
   SPNERF_CHECK_MSG(n <= max_elements, "vector length " << n
                                                        << " exceeds limit");
-  std::vector<T> v(n);
-  if (n) {
-    in.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
+  std::vector<T> v;
+  while (v.size() < n) {
+    const std::size_t at = v.size();
+    v.resize(at + static_cast<std::size_t>(std::min(n - at, kChunkElements)));
+    in.read(reinterpret_cast<char*>(v.data() + at),
+            static_cast<std::streamsize>((v.size() - at) * sizeof(T)));
+    SPNERF_CHECK_MSG(in.good(), "binary vector read failed");
   }
-  SPNERF_CHECK_MSG(in.good(), "binary vector read failed");
   return v;
 }
 

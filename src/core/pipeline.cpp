@@ -16,7 +16,7 @@ ScenePipeline ScenePipeline::Build(const PipelineConfig& config) {
 ScenePipeline ScenePipeline::FromAssets(const PipelineConfig& config,
                                         PipelineAssets assets) {
   SPNERF_CHECK_MSG(
-      assets.dataset && assets.codec && assets.coarse && assets.octree,
+      assets.dataset && assets.codec && assets.skip,
       "pipeline assets incomplete");
   SPNERF_CHECK_MSG(assets.codec->Dims() == assets.dataset->full_grid.Dims(),
                    "codec asset does not match the dataset grid");
@@ -39,8 +39,7 @@ Camera ScenePipeline::MakeCamera(int width, int height, int view,
 
 RenderOptions ScenePipeline::RenderOptionsWithSkip() const {
   RenderOptions opt = config_.render;
-  opt.coarse_skip = assets_.coarse.get();
-  opt.octree_skip = assets_.octree.get();
+  opt.skip = assets_.skip.get();
   return opt;
 }
 

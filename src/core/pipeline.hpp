@@ -4,7 +4,7 @@
 //   ground truth (analytic), VQRF (restored dense grid), SpNeRF (online
 //   decode, with or without bitmap masking).
 //
-// The heavy state (dataset, codec, coarse skip) is held as shared immutable
+// The heavy state (dataset, codec, skip octree) is held as shared immutable
 // assets (src/assets), so pipelines built through PipelineRepository share
 // them rather than rebuilding; Build() remains the direct, uncached path.
 #pragma once
@@ -16,7 +16,7 @@
 #include "assets/asset_cache.hpp"
 #include "common/image.hpp"
 #include "encoding/spnerf_codec.hpp"
-#include "grid/occupancy.hpp"
+#include "grid/occupancy_octree.hpp"
 #include "render/camera.hpp"
 #include "render/mlp.hpp"
 #include "render/render_engine.hpp"
@@ -56,10 +56,9 @@ class ScenePipeline {
   [[nodiscard]] const SceneDataset& Dataset() const { return *assets_.dataset; }
   [[nodiscard]] const SpNeRFModel& Codec() const { return *assets_.codec; }
   [[nodiscard]] const Mlp& GetMlp() const { return mlp_; }
-  [[nodiscard]] const CoarseOccupancy& Skip() const { return *assets_.coarse; }
-  [[nodiscard]] const OccupancyOctree& Octree() const {
-    return *assets_.octree;
-  }
+  /// Empty-space skip structure: the occupancy octree over the coarse
+  /// bitmap (Skip().Leaf()).
+  [[nodiscard]] const OccupancyOctree& Skip() const { return *assets_.skip; }
 
   /// Orbit camera `view` of `n_views` at the configured radius/elevation.
   [[nodiscard]] Camera MakeCamera(int width, int height, int view = 0,
@@ -70,8 +69,7 @@ class ScenePipeline {
   [[nodiscard]] RenderEngine MakeEngine() const {
     return RenderEngine(config_.engine);
   }
-  /// Render options with this pipeline's skip structures attached (coarse
-  /// bitmap + occupancy octree; SPNF_SKIP picks which one marches). Callers
+  /// Render options with this pipeline's skip octree attached. Callers
   /// building their own RenderJobs (orbit sweeps, codec A/B batches) use
   /// this so every path marches identical rays.
   [[nodiscard]] RenderOptions RenderOptionsWithSkip() const;

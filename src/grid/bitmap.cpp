@@ -22,9 +22,19 @@ BitGrid BitGrid::FromGrid(const DenseGrid& grid) {
 }
 
 BitGrid BitGrid::FromWords(GridDims dims, std::vector<u64> words) {
-  BitGrid bg(dims);
-  SPNERF_CHECK_MSG(words.size() == bg.words_.size(),
+  // Checked against the words before anything is allocated: corrupt dims
+  // must not size (and zero-fill) the bitmap they claim.
+  SPNERF_CHECK_MSG(dims.nx > 0 && dims.ny > 0 && dims.nz > 0,
+                   "bitmap dims must be positive");
+  const u64 plane = static_cast<u64>(dims.nx) * static_cast<u64>(dims.ny);
+  SPNERF_CHECK_MSG(plane <= ~u64{0} / static_cast<u64>(dims.nz),
+                   "bitmap dims " << dims.nx << "x" << dims.ny << "x"
+                                  << dims.nz << " overflow the voxel count");
+  const u64 voxels = dims.VoxelCount();
+  SPNERF_CHECK_MSG(words.size() == voxels / 64 + (voxels % 64 != 0 ? 1 : 0),
                    "word count does not match bitmap dimensions");
+  BitGrid bg;
+  bg.dims_ = dims;
   bg.words_ = std::move(words);
   return bg;
 }

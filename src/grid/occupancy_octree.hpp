@@ -1,18 +1,18 @@
-// Hierarchical occupancy octree for multi-level empty-space skipping: a
-// pointerless, level-ordered pyramid of occupancy bitmaps reduced bottom-up
-// from the dilated coarse skip bitmap. Level L-1 (the leaf level) is
-// bit-identical to CoarseOccupancy::Bits(); each coarser level ORs 2x2x2
-// child blocks, so a parent is empty exactly when all its children are
-// empty. Node addressing is implicit — the ancestor of leaf cell c at depth
-// d above the leaves is simply c >> d — so the whole structure is a handful
-// of BitGrids and traversal needs no pointer chasing.
+// Hierarchical occupancy octree for multi-level empty-space skipping — the
+// ray marchers' one skip structure: a pointerless, level-ordered pyramid of
+// occupancy bitmaps reduced bottom-up from the dilated coarse skip bitmap.
+// The leaf level IS that CoarseOccupancy (kept whole, so the leaf bits and
+// the world-to-cell rule exist once); each coarser level ORs 2x2x2 child
+// blocks, so a parent is empty exactly when all its children are empty.
+// Node addressing is implicit — the ancestor of leaf cell c at depth d above
+// the leaves is simply c >> d — so the whole structure is a handful of
+// BitGrids and traversal needs no pointer chasing.
 //
 // The ray marchers use it to cross empty space a node at a time: when a
 // lattice sample lands in an empty leaf, one root-down descent finds the
 // SHALLOWEST empty ancestor (FindEmptyNode) and the march jumps past that
 // node's whole leaf-cell range in one step. Occupied leaves cost exactly one
-// leaf-bit probe — the same as the flat path — so dense scenes pay no
-// hierarchy tax.
+// leaf-bit probe, so dense scenes pay no hierarchy tax.
 #pragma once
 
 #include <vector>
@@ -38,29 +38,24 @@ class OccupancyOctree {
  public:
   OccupancyOctree() = default;
 
-  /// Reduces `coarse` bottom-up: the leaf level copies its (already
-  /// dilated) bits, each coarser level ORs 2x2x2 child blocks, down to a
-  /// 1x1x1 root. Non-power-of-two dims round up (boundary parents OR the
-  /// children that exist).
+  /// Reduces `coarse` bottom-up: the leaf level is a copy of `coarse`
+  /// (already dilated), each coarser level ORs 2x2x2 child blocks, down to
+  /// a 1x1x1 root. Non-power-of-two dims round up (boundary parents OR the
+  /// children that exist). The only way to make an octree, so the pyramid
+  /// agrees with its leaf by construction.
   static OccupancyOctree Build(const CoarseOccupancy& coarse);
 
-  /// Reconstructs from already-reduced levels (the deserialization path).
-  /// `levels` is root-first. Throws SpnerfError unless the level dims form
-  /// the exact ceil-halving chain and every parent bit equals the OR of its
-  /// children — a corrupt pyramid is rejected, never traversed.
-  static OccupancyOctree FromLevels(std::vector<BitGrid> levels, int factor);
-
   /// Number of levels, root (index 0) through leaf (index Levels()-1).
-  [[nodiscard]] int Levels() const { return static_cast<int>(levels_.size()); }
+  [[nodiscard]] int Levels() const {
+    return static_cast<int>(upper_.size()) + 1;
+  }
   [[nodiscard]] const BitGrid& Level(int l) const {
-    return levels_[static_cast<std::size_t>(l)];
+    return l + 1 == Levels() ? leaf_.Bits()
+                             : upper_[static_cast<std::size_t>(l)];
   }
-  [[nodiscard]] const BitGrid& LeafBits() const { return levels_.back(); }
-  [[nodiscard]] const GridDims& LeafDims() const {
-    return levels_.back().Dims();
-  }
-  /// Fine voxels per leaf cell per axis (CoarseOccupancy::Factor()).
-  [[nodiscard]] int Factor() const { return factor_; }
+  /// The coarse occupancy the tree was reduced from: the leaf bits, their
+  /// dims, the factor and the world-to-cell rule (CellOfWorld).
+  [[nodiscard]] const CoarseOccupancy& Leaf() const { return leaf_; }
 
   /// Shallowest (largest) empty node containing leaf cell `c`. Returns
   /// false when the leaf is occupied; otherwise fills `node` with the
@@ -69,8 +64,8 @@ class OccupancyOctree {
   [[nodiscard]] bool FindEmptyNode(Vec3i c, OctreeNode& node) const;
 
  private:
-  std::vector<BitGrid> levels_;  // root-first; back() is the leaf level
-  int factor_ = 1;
+  CoarseOccupancy leaf_;
+  std::vector<BitGrid> upper_;  // root-first levels above the leaf
 };
 
 }  // namespace spnerf

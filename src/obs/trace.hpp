@@ -10,13 +10,13 @@
 //
 // The trace level is process-global, resolved once from SPNF_TRACE
 // ("off" | "counters" | "full" — the same one-shot resolution rule as
-// SPNF_SIMD / SPNF_SKIP):
+// SPNF_SIMD):
 //   * kOff      — every record site is a single relaxed load + branch.
 //   * kCounters — the metrics registry records (obs/metrics.hpp); spans and
 //                 instants are still skipped. The always-on default.
 //   * kFull     — spans/instants are recorded into the rings as well.
 // Tests and benches flip the level programmatically via SetActiveTraceLevel
-// (scoped save/restore), exactly like skip::SetActiveMode.
+// (scoped save/restore), exactly like simd::SetActivePath.
 //
 // Strings: event/category/arg-key names must be static string literals
 // (the event stores the pointer). Dynamic strings (pipeline keys, scene

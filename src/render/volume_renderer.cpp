@@ -23,8 +23,7 @@ struct SkipObsHandles {
   static constexpr int kMaxLevels = 12;
   std::array<obs::Counter*, kMaxLevels> level{};  // octree jumps per level
   obs::Counter* outside = nullptr;  // octree jumps from outside [0,1]^3
-  /// Empty-space jumps per ray: one per leaf cell under SPNF_SKIP=flat, one
-  /// per octree node under octree (RenderStats::coarse_skips, per ray).
+  /// Empty-space jumps per ray (RenderStats::coarse_skips, per ray).
   obs::Histogram* cells_per_ray = nullptr;
 
   SkipObsHandles() {
@@ -47,8 +46,8 @@ SkipObsHandles& SkipObs() {
 
 namespace render_detail {
 
-/// Local accumulator for the per-level jump counters (octree mode only);
-/// flushed to the registry once per ray (scalar path) or tile (wavefront).
+/// Local accumulator for the per-level jump counters; flushed to the
+/// registry once per ray (scalar path) or tile (wavefront).
 struct SkipShard {
   std::array<u32, SkipObsHandles::kMaxLevels> level{};
   u32 outside = 0;
@@ -83,9 +82,9 @@ bool InUnitCube(Vec3f p) {
 /// lattice points inside the node form one interval containing m.k; once
 /// point next-1 is inside, every point of (m.k, next) is, and all of them
 /// are empty. An undershoot only costs one more jump.
-u32 JumpPast(const CoarseOccupancy& coarse, const OctreeNode& node,
+u32 JumpPast(const CoarseOccupancy& leaf, const OctreeNode& node,
              const LatticeMarch& m) {
-  const GridDims& dims = coarse.CoarseDims();
+  const GridDims& dims = leaf.CoarseDims();
   float t_exit = m.t_far;
   for (int axis = 0; axis < 3; ++axis) {
     const float d = m.ray.direction[axis];
@@ -102,7 +101,7 @@ u32 JumpPast(const CoarseOccupancy& coarse, const OctreeNode& node,
                                   : static_cast<u32>(kMaxJumpIndex);
   }
   while (next - 1 > m.k &&
-         !node.Contains(coarse.CellOfWorld(m.Point(next - 1)))) {
+         !node.Contains(leaf.CellOfWorld(m.Point(next - 1)))) {
     --next;
   }
   return next;
@@ -110,30 +109,22 @@ u32 JumpPast(const CoarseOccupancy& coarse, const OctreeNode& node,
 
 }  // namespace
 
-bool AdvanceToOccupied(const CoarseOccupancy* coarse,
-                       const OccupancyOctree* octree, LatticeMarch& m,
+bool AdvanceToOccupied(const OccupancyOctree* octree, LatticeMarch& m,
                        Vec3f& p, SkipShard* shard) {
   while (true) {
     const float t = m.T(m.k);
     if (!(t < m.t_far)) return false;
     p = m.ray.At(t);
-    if (coarse == nullptr) return true;
+    if (octree == nullptr) return true;
     const bool inside = InUnitCube(p);
-    const Vec3i cell = coarse->CellOfWorld(p);
+    const CoarseOccupancy& leaf = octree->Leaf();
     OctreeNode node;
-    bool empty = false;
-    if (octree != nullptr) {
-      empty = octree->FindEmptyNode(cell, node);
-    } else {
-      empty = !coarse->Bits().Test(cell);
-      node.lo = cell;
-      node.hi = Vec3i{cell.x + 1, cell.y + 1, cell.z + 1};
-    }
+    const bool empty = octree->FindEmptyNode(leaf.CellOfWorld(p), node);
     if (!empty && inside) return true;
     // Outside points clamp onto a boundary cell. Over an empty one they
     // jump like inside points (no point in that cell is taken); over an
     // occupied one only this point is dropped.
-    m.k = empty ? JumpPast(*coarse, node, m) : m.k + 1;
+    m.k = empty ? JumpPast(leaf, node, m) : m.k + 1;
     ++m.jumps;
     if (shard != nullptr) {
       if (inside) {
@@ -173,7 +164,7 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   const bool count_obs = obs::CountersEnabled();
   render_detail::SkipShard shard;
   render_detail::SkipShard* shard_ptr =
-      (count_obs && octree_ != nullptr) ? &shard : nullptr;
+      (count_obs && options_.skip != nullptr) ? &shard : nullptr;
 
   render_detail::LatticeMarch march;
   march.ray = ray;
@@ -183,8 +174,8 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   Vec3f p;
   // Empty-space skipping: jump over unoccupied lattice points until the
   // next occupied sample position (or out of the box).
-  while (render_detail::AdvanceToOccupied(options_.coarse_skip, octree_,
-                                          march, p, shard_ptr)) {
+  while (render_detail::AdvanceToOccupied(options_.skip, march, p,
+                                          shard_ptr)) {
     ++march.k;
     ++ray_steps;
     const FieldSample s = source.Sample(p, counters);
@@ -270,7 +261,7 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
   const bool count_obs = obs::CountersEnabled();
   render_detail::SkipShard skip_shard;
   render_detail::SkipShard* skip_shard_ptr =
-      (count_obs && octree_ != nullptr) ? &skip_shard : nullptr;
+      (count_obs && options_.skip != nullptr) ? &skip_shard : nullptr;
 
   // Ray setup, row-major over the tile (the same enumeration the scalar
   // loop uses; every per-ray quantity below reduces in this order).
@@ -307,8 +298,8 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
       // Advance to the next sample position (the scalar loop's lattice
       // advance, shared).
       Vec3f p;
-      if (!render_detail::AdvanceToOccupied(options_.coarse_skip, octree_,
-                                            r.march, p, skip_shard_ptr)) {
+      if (!render_detail::AdvanceToOccupied(options_.skip, r.march, p,
+                                            skip_shard_ptr)) {
         continue;  // marched out of the box: ray retires
       }
       ++r.march.k;

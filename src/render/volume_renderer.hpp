@@ -6,12 +6,10 @@
 
 #include "common/image.hpp"
 #include "common/stats.hpp"
-#include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "render/camera.hpp"
 #include "render/field_source.hpp"
 #include "render/mlp.hpp"
-#include "render/skip_mode.hpp"
 
 namespace spnerf {
 
@@ -36,20 +34,13 @@ struct RenderOptions {
   /// per-ray path (execution policy, not semantics; excluded from pipeline
   /// keys). Off = the scalar reference path, kept for differential testing.
   bool wavefront = true;
-  /// Optional coarse occupancy for empty-space skipping (non-owning). All
+  /// Optional occupancy octree for empty-space skipping (non-owning). All
   /// compared pipelines use the same skip structure, as DVGO/VQRF do.
   /// Samples sit on each ray's lattice t_k = t_near + k * step_size with or
   /// without it; skipping only drops the lattice points outside [0,1]^3 or
-  /// in empty leaf cells.
-  const CoarseOccupancy* coarse_skip = nullptr;
-  /// Optional occupancy octree reduced from `coarse_skip` (non-owning).
-  /// When attached and SPNF_SKIP resolves to octree (the default), empty
-  /// space is crossed one empty octree node per jump instead of one leaf
-  /// cell; the sample set is the same, so images, RenderStats (except
-  /// coarse_skips) and DecodeCounters are bit-identical to the flat mode
-  /// (execution policy, not semantics; excluded from pipeline keys).
-  /// Ignored when `coarse_skip` is null.
-  const OccupancyOctree* octree_skip = nullptr;
+  /// in empty leaf cells, and crosses empty space one empty octree node per
+  /// jump.
+  const OccupancyOctree* skip = nullptr;
 };
 
 /// Per-frame statistics. `mlp_evals` and the per-ray distributions drive the
@@ -57,8 +48,8 @@ struct RenderOptions {
 struct RenderStats {
   u64 rays = 0;
   u64 steps = 0;           // field samples taken
-  u64 coarse_skips = 0;    // empty-space jumps: one per leaf cell (flat) or
-                           // octree node (octree) crossed without sampling
+  u64 coarse_skips = 0;    // empty-space jumps: empty octree nodes crossed
+                           // (and outside points dropped) without sampling
   u64 mlp_evals = 0;       // samples that passed the alpha threshold
   u64 terminated_rays = 0; // rays stopped by early termination
   u64 missed_rays = 0;     // rays that never hit the scene box
@@ -87,17 +78,7 @@ class RenderEngine;
 
 class VolumeRenderer {
  public:
-  /// Captures the process-global skip mode (skip::ActiveMode) at
-  /// construction — the engine builds one renderer per job, so a job never
-  /// changes skip structure mid-render. The octree path engages only when
-  /// both skip structures are attached; otherwise the renderer falls back
-  /// to flat jumps (or no skipping at all), whatever the mode says.
-  explicit VolumeRenderer(RenderOptions options = {})
-      : options_(options),
-        octree_(options.coarse_skip != nullptr &&
-                        skip::ActiveMode() == skip::Mode::kOctree
-                    ? options.octree_skip
-                    : nullptr) {}
+  explicit VolumeRenderer(RenderOptions options = {}) : options_(options) {}
 
   [[nodiscard]] const RenderOptions& Options() const { return options_; }
 
@@ -137,9 +118,6 @@ class VolumeRenderer {
                            DecodeCounters* counters) const;
 
   RenderOptions options_;
-  /// options_.octree_skip when the octree skip mode is in effect, else null
-  /// (flat jumps); resolved once at construction.
-  const OccupancyOctree* octree_ = nullptr;
 };
 
 namespace render_detail {
@@ -152,7 +130,7 @@ inline constexpr float kDegenerateDirectionEpsilon = 1e-12f;
 /// One ray's march over its sample lattice: sample k sits at
 /// t_k = t_near + float(k) * step, for every k with t_k < t_far. The march
 /// state is the index alone, so a sample's position never depends on how
-/// the march reached it — skipped, flat and octree marches of a ray share
+/// the march reached it — skipped and unskipped marches of a ray share
 /// every position they sample.
 struct LatticeMarch {
   Ray ray;
@@ -174,14 +152,12 @@ struct SkipShard;
 
 /// Moves `m.k` to the first index at or after it whose sample is taken,
 /// stores that sample's position in `p` and returns true; returns false
-/// once t_k reaches t_far. Without `coarse` every lattice point is taken.
+/// once t_k reaches t_far. Without `octree` every lattice point is taken.
 /// With it, point k is taken iff it lies inside [0,1]^3 and its leaf cell
-/// is occupied, and an empty leaf costs one jump across the shallowest
-/// empty `octree` node containing it — or across the leaf cell itself when
-/// `octree` is null (flat mode). Both modes therefore take exactly the same
-/// samples. Callers step past a taken sample with ++m.k.
-bool AdvanceToOccupied(const CoarseOccupancy* coarse,
-                       const OccupancyOctree* octree, LatticeMarch& m,
+/// is occupied (CoarseOccupancy::OccupiedAtWorld on the octree's leaf), and
+/// an empty leaf costs one jump across the shallowest empty octree node
+/// containing it. Callers step past a taken sample with ++m.k.
+bool AdvanceToOccupied(const OccupancyOctree* octree, LatticeMarch& m,
                        Vec3f& p, SkipShard* shard = nullptr);
 
 }  // namespace render_detail

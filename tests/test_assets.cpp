@@ -4,6 +4,7 @@
 // memory hit).
 #include "assets/asset_cache.hpp"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -42,6 +43,33 @@ std::string SaveDatasetBytes(const SceneDataset& ds) {
   std::ostringstream out(std::ios::binary);
   SaveSceneDataset(ds, out);
   return out.str();
+}
+
+std::string SaveCoarseBytes(const CoarseOccupancy& coarse) {
+  std::ostringstream out(std::ios::binary);
+  SaveCoarseOccupancy(coarse, out);
+  return out.str();
+}
+
+const CoarseOccupancy& SmallCoarse() {
+  static const CoarseOccupancy coarse =
+      CoarseOccupancy::Build(BitGrid::FromGrid(SmallDataset().full_grid), 4);
+  return coarse;
+}
+
+/// Reads / overwrites the POD at byte `offset` of an artifact.
+template <typename T>
+T Peek(const std::string& bytes, std::size_t offset) {
+  T value{};
+  if (offset + sizeof(T) <= bytes.size()) {
+    std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  }
+  return value;
+}
+template <typename T>
+void Poke(std::string& bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
 }
 
 // ------------------------------------------------------ codec pinning ---
@@ -118,63 +146,16 @@ TEST(AssetIo, CodecRoundTripIsByteIdenticalAndDecodesEqually) {
 }
 
 TEST(AssetIo, CoarseRoundTripIsByteIdentical) {
-  const CoarseOccupancy original =
-      CoarseOccupancy::Build(BitGrid::FromGrid(SmallDataset().full_grid), 4);
-  std::ostringstream out(std::ios::binary);
-  SaveCoarseOccupancy(original, out);
+  const CoarseOccupancy& original = SmallCoarse();
+  const std::string first = SaveCoarseBytes(original);
 
-  std::istringstream in(out.str(), std::ios::binary);
+  std::istringstream in(first, std::ios::binary);
   const CoarseOccupancy loaded = LoadCoarseOccupancy(in);
   EXPECT_EQ(loaded.Factor(), original.Factor());
   EXPECT_EQ(loaded.CoarseDims(), original.CoarseDims());
   EXPECT_EQ(loaded.Bits().Words(), original.Bits().Words());
 
-  std::ostringstream again(std::ios::binary);
-  SaveCoarseOccupancy(loaded, again);
-  EXPECT_EQ(again.str(), out.str());
-}
-
-TEST(AssetIo, OctreeRoundTripIsByteIdentical) {
-  const CoarseOccupancy coarse =
-      CoarseOccupancy::Build(BitGrid::FromGrid(SmallDataset().full_grid), 4);
-  const OccupancyOctree original = OccupancyOctree::Build(coarse);
-  std::ostringstream out(std::ios::binary);
-  SaveOccupancyOctree(original, out);
-
-  std::istringstream in(out.str(), std::ios::binary);
-  const OccupancyOctree loaded = LoadOccupancyOctree(in);
-  EXPECT_EQ(loaded.Factor(), original.Factor());
-  ASSERT_EQ(loaded.Levels(), original.Levels());
-  for (int l = 0; l < loaded.Levels(); ++l) {
-    EXPECT_EQ(loaded.Level(l).Dims(), original.Level(l).Dims()) << l;
-    EXPECT_EQ(loaded.Level(l).Words(), original.Level(l).Words()) << l;
-  }
-
-  std::ostringstream again(std::ios::binary);
-  SaveOccupancyOctree(loaded, again);
-  EXPECT_EQ(again.str(), out.str());
-}
-
-TEST(AssetIo, OctreeLoadRejectsInconsistentPyramid) {
-  // A flipped bit anywhere above the leaf level breaks the OR-reduction
-  // invariant; the load path must reject it, never traverse it.
-  const CoarseOccupancy coarse =
-      CoarseOccupancy::Build(BitGrid::FromGrid(SmallDataset().full_grid), 4);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  ASSERT_GE(tree.Levels(), 2);
-  std::ostringstream out(std::ios::binary);
-  SaveOccupancyOctree(tree, out);
-  std::string bytes = out.str();
-
-  // The root level is serialized first: header (12) + factor (4) +
-  // level count (4) + root dims (12) + word-count (8) puts its single
-  // occupancy word at offset 40. The mic scene is non-empty, so the root
-  // bit is set; clearing it contradicts every occupied leaf below.
-  ASSERT_GT(bytes.size(), 48u);
-  ASSERT_NE(bytes[40], 0);
-  bytes[40] = 0;
-  std::istringstream in(bytes, std::ios::binary);
-  EXPECT_THROW((void)LoadOccupancyOctree(in), SpnerfError);
+  EXPECT_EQ(SaveCoarseBytes(loaded), first);
 }
 
 TEST(AssetIo, CodecLoadRejectsMismatchedSource) {
@@ -208,21 +189,53 @@ TEST(AssetIo, RejectsOtherFormatVersion) {
 }
 
 TEST(AssetIo, RejectsWrongPayloadKind) {
-  const CoarseOccupancy coarse =
-      CoarseOccupancy::Build(BitGrid::FromGrid(SmallDataset().full_grid), 4);
-  std::ostringstream out(std::ios::binary);
-  SaveCoarseOccupancy(coarse, out);
-  std::istringstream in(out.str(), std::ios::binary);
+  std::istringstream in(SaveCoarseBytes(SmallCoarse()), std::ios::binary);
   EXPECT_THROW((void)LoadSceneDataset(in), SpnerfError);
 }
 
 TEST(AssetIo, RejectsTruncatedStream) {
-  const std::string bytes = SaveDatasetBytes(SmallDataset());
+  const std::string dataset = SaveDatasetBytes(SmallDataset());
   for (const std::size_t keep :
-       {bytes.size() / 4, bytes.size() / 2, bytes.size() - 3}) {
-    std::istringstream in(bytes.substr(0, keep), std::ios::binary);
+       {dataset.size() / 4, dataset.size() / 2, dataset.size() - 3}) {
+    std::istringstream in(dataset.substr(0, keep), std::ios::binary);
     EXPECT_THROW((void)LoadSceneDataset(in), SpnerfError) << keep;
   }
+  const std::string coarse = SaveCoarseBytes(SmallCoarse());
+  for (const std::size_t keep :
+       {coarse.size() / 4, coarse.size() / 2, coarse.size() - 3}) {
+    std::istringstream in(coarse.substr(0, keep), std::ios::binary);
+    EXPECT_THROW((void)LoadCoarseOccupancy(in), SpnerfError) << keep;
+  }
+}
+
+// The coarse artifact's layout: header (magic, version, kind: 12 bytes),
+// factor (4), dims (3 x 4), word count (8), words.
+constexpr std::size_t kCoarseDimsOffset = 16;
+constexpr std::size_t kCoarseWordCountOffset = 28;
+
+TEST(AssetIo, InflatedWordCountIsRejectedWithoutAllocatingIt) {
+  // 2^32 - 1 words (32 GiB) passes the length limit; the stream holds a
+  // few hundred bytes, so the read must fail as it runs out — not try to
+  // allocate the claimed length first.
+  std::string bytes = SaveCoarseBytes(SmallCoarse());
+  ASSERT_EQ(Peek<u64>(bytes, kCoarseWordCountOffset),
+            SmallCoarse().Bits().Words().size());
+  Poke<u64>(bytes, kCoarseWordCountOffset, (u64{1} << 32) - 1);
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW((void)LoadCoarseOccupancy(in), SpnerfError);
+}
+
+TEST(AssetIo, InflatedDimsAreRejectedWithoutAllocatingThem) {
+  // 32768^3 voxels would be a 4 TiB bitmap; the word count on file says
+  // otherwise, and that is checked before any bitmap is sized.
+  std::string bytes = SaveCoarseBytes(SmallCoarse());
+  ASSERT_EQ(Peek<i32>(bytes, kCoarseDimsOffset), SmallCoarse().CoarseDims().nx);
+  for (int axis = 0; axis < 3; ++axis) {
+    Poke<i32>(bytes, kCoarseDimsOffset + 4 * static_cast<std::size_t>(axis),
+              32768);
+  }
+  std::istringstream in(bytes, std::ios::binary);
+  EXPECT_THROW((void)LoadCoarseOccupancy(in), SpnerfError);
 }
 
 // ------------------------------------------------------------ cache keys --
@@ -272,16 +285,12 @@ TEST(AssetKey, SensitiveToEveryContentField) {
   EXPECT_NE(CodecAssetKey(dk, s).hash, codec_key);
 
   EXPECT_NE(CoarseAssetKey(dk, 4).hash, CoarseAssetKey(dk, 8).hash);
-  EXPECT_NE(OctreeAssetKey(dk, 4).hash, OctreeAssetKey(dk, 8).hash);
-  // Same fields, distinct kind: octree and coarse artifacts never collide
-  // in the on-disk store (the kind prefixes the file name).
-  EXPECT_NE(OctreeAssetKey(dk, 4).FileName(), CoarseAssetKey(dk, 4).FileName());
 }
 
-TEST(AssetKey, OctreeKeyVersionsWithTheFormat) {
-  // kAssetFormatVersion is hashed into every key; the octree kind rode in
-  // with v2, so pin the canonical prefix the hash is derived from. If the
-  // version bumps again, every octree artifact must become unreachable.
+TEST(AssetKey, KeysVersionWithTheFormat) {
+  // kAssetFormatVersion is hashed into every key; pin the canonical prefix
+  // the hash is derived from. The version is 2, and it bumps only when an
+  // artifact's bytes change, which makes every older artifact unreachable.
   AssetKeyBuilder b;
   b.Field("format", static_cast<u64>(kAssetFormatVersion));
   EXPECT_EQ(b.Canonical(), "format=u2;");
@@ -338,36 +347,48 @@ TEST_F(AssetCacheTest, ColdBuildPersistsAndWarmLoadsFromDisk) {
 
   AssetCache cold(Options());
   const PipelineAssets built = cold.Acquire(SceneId::kMic, dp, sp, 4);
-  ASSERT_TRUE(built.dataset && built.codec && built.coarse && built.octree);
-  EXPECT_EQ(cold.GetStats().builds, 4u);
+  ASSERT_TRUE(built.dataset && built.codec && built.skip);
+  EXPECT_EQ(cold.GetStats().builds, 3u);
   EXPECT_EQ(cold.GetStats().disk_hits, 0u);
 
-  // All four artifacts landed on disk.
+  // All three artifacts landed on disk, and nothing else: the skip octree
+  // persists only its coarse leaf bitmap.
   const AssetKey dk = DatasetAssetKey(SceneId::kMic, dp);
   EXPECT_TRUE(std::filesystem::exists(root_ / dk.FileName()));
   EXPECT_TRUE(
       std::filesystem::exists(root_ / CodecAssetKey(dk, sp).FileName()));
   EXPECT_TRUE(std::filesystem::exists(root_ / CoarseAssetKey(dk, 4).FileName()));
-  EXPECT_TRUE(std::filesystem::exists(root_ / OctreeAssetKey(dk, 4).FileName()));
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(root_)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files.size(), 3u);
+  for (const std::string& f : files) {
+    EXPECT_NE(f.rfind("octree-", 0), 0u) << f;
+  }
 
-  // A fresh cache over the same root deserializes instead of rebuilding.
+  // A fresh cache over the same root deserializes instead of rebuilding,
+  // and derives the same octree from the stored bitmap.
   AssetCache warm(Options());
   const PipelineAssets loaded = warm.Acquire(SceneId::kMic, dp, sp, 4);
   EXPECT_EQ(warm.GetStats().builds, 0u);
-  EXPECT_EQ(warm.GetStats().disk_hits, 4u);
+  EXPECT_EQ(warm.GetStats().disk_hits, 3u);
   EXPECT_EQ(loaded.dataset->full_grid.DensityRaw(),
             built.dataset->full_grid.DensityRaw());
-  EXPECT_EQ(loaded.coarse->Bits().Words(), built.coarse->Bits().Words());
-  ASSERT_EQ(loaded.octree->Levels(), built.octree->Levels());
-  for (int l = 0; l < loaded.octree->Levels(); ++l) {
-    EXPECT_EQ(loaded.octree->Level(l).Words(), built.octree->Level(l).Words());
+  EXPECT_EQ(loaded.skip->Leaf().Factor(), built.skip->Leaf().Factor());
+  ASSERT_EQ(loaded.skip->Levels(), built.skip->Levels());
+  for (int l = 0; l < loaded.skip->Levels(); ++l) {
+    EXPECT_EQ(loaded.skip->Level(l).Dims(), built.skip->Level(l).Dims()) << l;
+    EXPECT_EQ(loaded.skip->Level(l).Words(), built.skip->Level(l).Words())
+        << l;
   }
 
   // Same cache again: everything is a live memory hit, same instances.
   const PipelineAssets again = warm.Acquire(SceneId::kMic, dp, sp, 4);
-  EXPECT_EQ(warm.GetStats().memory_hits, 4u);
+  EXPECT_EQ(warm.GetStats().memory_hits, 3u);
   EXPECT_EQ(again.dataset.get(), loaded.dataset.get());
   EXPECT_EQ(again.codec.get(), loaded.codec.get());
+  EXPECT_EQ(again.skip.get(), loaded.skip.get());
 }
 
 TEST_F(AssetCacheTest, CorruptArtifactIsRebuiltNotFatal) {
@@ -451,7 +472,7 @@ TEST_F(AssetCacheTest, RepositoryPipelineRendersIdenticallyToDirectBuild) {
   AssetCache reloaded(Options());
   PipelineRepository repo(&reloaded);
   const auto p = repo.Acquire(config);
-  EXPECT_EQ(reloaded.GetStats().disk_hits, 4u);
+  EXPECT_EQ(reloaded.GetStats().disk_hits, 3u);
   const Image got = p->RenderSpnerf(p->MakeCamera(24, 24), true);
   ASSERT_EQ(want.Width(), got.Width());
   EXPECT_EQ(Mse(want, got), 0.0);

@@ -53,6 +53,23 @@ TEST(BitGrid, SizeBytesIsOneBitPerVoxel) {
   EXPECT_EQ(BitGrid({3, 3, 3}).SizeBytes(), 4u);  // 27 bits -> 4 bytes
 }
 
+TEST(BitGrid, FromWordsChecksDimsBeforeAllocating) {
+  const BitGrid ok = BitGrid::FromWords(GridDims{4, 4, 5}, {0ull, 7ull});
+  EXPECT_EQ(ok.Dims(), (GridDims{4, 4, 5}));
+  EXPECT_EQ(ok.CountSet(), 3u);
+  // 80 voxels need 2 words, not 1 or 3.
+  EXPECT_THROW((void)BitGrid::FromWords(GridDims{4, 4, 5}, {0ull}),
+               SpnerfError);
+  EXPECT_THROW((void)BitGrid::FromWords(GridDims{4, 4, 5}, {0ull, 0ull, 0ull}),
+               SpnerfError);
+  EXPECT_THROW((void)BitGrid::FromWords(GridDims{0, 4, 4}, {}), SpnerfError);
+  // (2^31-1)^3 voxels overflow u64: rejected, never wrapped into a count
+  // that a short word vector could match.
+  const int big = 2147483647;
+  EXPECT_THROW((void)BitGrid::FromWords(GridDims{big, big, big}, {}),
+               SpnerfError);
+}
+
 TEST(BitGrid, FromGridMatchesNonZeroSet) {
   DenseGrid g({6, 6, 6});
   Rng rng(17);

@@ -1,16 +1,15 @@
 // Occupancy-octree tests: build/reduction invariants (parent bit == OR of
 // children at every level, leaf level bit-identical to CoarseOccupancy,
 // dilation preserved through the pyramid), the shallowest-empty-ancestor
-// query, and the lattice advance of both skip modes against a brute-force
-// enumeration of the lattice on random, axis-aligned, diagonal,
-// boundary-origin, cell-face and sub-epsilon-direction rays.
+// query, and the octree lattice advance against a brute-force enumeration
+// of the lattice on random, axis-aligned, diagonal, boundary-origin,
+// cell-face and sub-epsilon-direction rays.
 #include "grid/occupancy_octree.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "render/camera.hpp"
 #include "render/volume_renderer.hpp"
@@ -38,9 +37,10 @@ CoarseOccupancy RandomCoarse(int set_bits = 40, u64 seed = 7) {
 TEST(OccupancyOctree, LeafLevelIsBitIdenticalToCoarse) {
   const CoarseOccupancy coarse = RandomCoarse();
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  EXPECT_EQ(tree.Factor(), coarse.Factor());
-  EXPECT_EQ(tree.LeafDims(), coarse.CoarseDims());
-  EXPECT_EQ(tree.LeafBits().Words(), coarse.Bits().Words());
+  EXPECT_EQ(tree.Leaf().Factor(), coarse.Factor());
+  EXPECT_EQ(tree.Leaf().CoarseDims(), coarse.CoarseDims());
+  EXPECT_EQ(tree.Leaf().Bits().Words(), coarse.Bits().Words());
+  EXPECT_EQ(tree.Level(tree.Levels() - 1).Words(), coarse.Bits().Words());
 }
 
 TEST(OccupancyOctree, ParentBitIsOrOfChildrenAtEveryLevel) {
@@ -96,7 +96,7 @@ TEST(OccupancyOctree, DilationSurvivesTheReduction) {
   for (int x = 4; x <= 6; ++x) {
     for (int y = 4; y <= 6; ++y) {
       for (int z = 4; z <= 6; ++z) {
-        EXPECT_TRUE(tree.LeafBits().Test(Vec3i{x, y, z}));
+        EXPECT_TRUE(tree.Leaf().Bits().Test(Vec3i{x, y, z}));
         for (int l = 0; l < leaf; ++l) {
           const int shift = leaf - l;
           EXPECT_TRUE(tree.Level(l).Test(Vec3i{x >> shift, y >> shift, z >> shift}));
@@ -119,24 +119,12 @@ TEST(OccupancyOctree, EmptySceneReducesToEmptyRoot) {
   EXPECT_EQ(node.hi, (Vec3i{10, 10, 10}));
 }
 
-TEST(OccupancyOctree, FromLevelsRejectsBrokenReduction) {
-  const OccupancyOctree tree = OccupancyOctree::Build(RandomCoarse());
-  std::vector<BitGrid> levels;
-  for (int l = 0; l < tree.Levels(); ++l) levels.push_back(tree.Level(l));
-  // A valid pyramid round-trips.
-  (void)OccupancyOctree::FromLevels(levels, tree.Factor());
-  // Clearing the root bit contradicts the occupied leaves below it.
-  levels[0] = BitGrid(GridDims{1, 1, 1});
-  EXPECT_THROW((void)OccupancyOctree::FromLevels(levels, tree.Factor()),
-               SpnerfError);
-}
-
 // --------------------------------------------- empty-node query semantics --
 
 TEST(OccupancyOctree, FindsShallowestEmptyAncestor) {
   const CoarseOccupancy coarse = RandomCoarse();
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
-  const GridDims& ld = tree.LeafDims();
+  const GridDims& ld = tree.Leaf().CoarseDims();
   const int leaf = tree.Levels() - 1;
   for (int x = 0; x < ld.nx; ++x) {
     for (int y = 0; y < ld.ny; ++y) {
@@ -182,12 +170,11 @@ std::vector<u32> OracleSamples(const CoarseOccupancy& coarse,
 
 /// The lattice indices AdvanceToOccupied takes, walked the way the
 /// marchers walk it; adds the walk's jumps to `jumps`.
-std::vector<u32> AdvanceSamples(const CoarseOccupancy& coarse,
-                                const OccupancyOctree* octree,
+std::vector<u32> AdvanceSamples(const OccupancyOctree& tree,
                                 render_detail::LatticeMarch m, u64& jumps) {
   std::vector<u32> taken;
   Vec3f p;
-  while (render_detail::AdvanceToOccupied(&coarse, octree, m, p)) {
+  while (render_detail::AdvanceToOccupied(&tree, m, p)) {
     EXPECT_EQ(p, m.Point(m.k));  // the position is the lattice point's
     taken.push_back(m.k);
     ++m.k;
@@ -196,37 +183,32 @@ std::vector<u32> AdvanceSamples(const CoarseOccupancy& coarse,
   return taken;
 }
 
-/// Walks `ray` in both skip modes and demands the oracle's sample set
-/// from each; accumulates the jumps each mode took.
+/// Walks `ray` through `tree` (built from `coarse`) and demands the
+/// oracle's sample set; accumulates the walk's jumps.
 void ExpectOracleSamples(const CoarseOccupancy& coarse,
                          const OccupancyOctree& tree, const Ray& ray,
-                         float step, u64& flat_jumps, u64& tree_jumps) {
+                         float step, u64& jumps) {
   const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   render_detail::LatticeMarch m;
   m.ray = ray;
   m.step = step;
   if (!IntersectAabb(ray, box, m.t_near, m.t_far)) return;
-  const std::vector<u32> expect = OracleSamples(coarse, m);
-  EXPECT_EQ(AdvanceSamples(coarse, nullptr, m, flat_jumps), expect)
-      << "flat, origin " << ray.origin << " direction " << ray.direction;
-  EXPECT_EQ(AdvanceSamples(coarse, &tree, m, tree_jumps), expect)
-      << "octree, origin " << ray.origin << " direction " << ray.direction;
+  EXPECT_EQ(AdvanceSamples(tree, m, jumps), OracleSamples(coarse, m))
+      << "origin " << ray.origin << " direction " << ray.direction;
 }
 
 /// Runs a ray family through ExpectOracleSamples at a fine and a coarse
-/// step; the octree never needs more jumps than flat in total.
+/// step; each family crosses some empty space.
 template <typename RayAt>
 void ExpectFamilyMatchesOracle(const CoarseOccupancy& coarse, int rays,
                                RayAt ray_at) {
   const OccupancyOctree tree = OccupancyOctree::Build(coarse);
   for (const float step : {0.003f, 0.0173f}) {
-    u64 flat_jumps = 0, tree_jumps = 0;
+    u64 jumps = 0;
     for (int i = 0; i < rays; ++i) {
-      ExpectOracleSamples(coarse, tree, ray_at(i), step, flat_jumps,
-                          tree_jumps);
+      ExpectOracleSamples(coarse, tree, ray_at(i), step, jumps);
     }
-    EXPECT_GT(flat_jumps, 0u) << "step " << step;
-    EXPECT_LE(tree_jumps, flat_jumps) << "step " << step;
+    EXPECT_GT(jumps, 0u) << "step " << step;
   }
 }
 
@@ -321,29 +303,24 @@ TEST(LatticeAdvance, OvershootingExitEstimatesStepBack) {
       {{0x1.0769d4p-2f, 0x1.28475cp-1f, 0x1.087fecp-1f},
        {0x1.5dfb08p-2f, 0x1.44f2dp-2f, 0x1.0f2668p-1f}},
   };
-  u64 flat_jumps = 0, tree_jumps = 0;
+  u64 jumps = 0;
   for (const Ray& ray : rays) {
-    ExpectOracleSamples(coarse, tree, ray, 0x1.0624dep-10f, flat_jumps,
-                        tree_jumps);
+    ExpectOracleSamples(coarse, tree, ray, 0x1.0624dep-10f, jumps);
   }
 }
 
 TEST(LatticeAdvance, EmptySceneIsCrossedInOneOctreeJump) {
-  // The octree's root is empty: one jump crosses the whole box, where the
-  // flat mode pays one jump per leaf cell on the way.
-  const CoarseOccupancy coarse =
-      CoarseOccupancy::Build(BitGrid(GridDims{40, 40, 40}), 4);
-  const OccupancyOctree tree = OccupancyOctree::Build(coarse);
+  // The octree's root is empty: one jump crosses the whole box.
+  const OccupancyOctree tree = OccupancyOctree::Build(
+      CoarseOccupancy::Build(BitGrid(GridDims{40, 40, 40}), 4));
   const Aabb box{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}};
   render_detail::LatticeMarch m;
   m.ray = Ray{{-0.5f, 0.31f, 0.62f}, Vec3f{1.f, 0.2f, -0.1f}.Normalized()};
   m.step = 0.003f;
   ASSERT_TRUE(IntersectAabb(m.ray, box, m.t_near, m.t_far));
-  u64 flat_jumps = 0, tree_jumps = 0;
-  EXPECT_TRUE(AdvanceSamples(coarse, nullptr, m, flat_jumps).empty());
-  EXPECT_TRUE(AdvanceSamples(coarse, &tree, m, tree_jumps).empty());
-  EXPECT_EQ(tree_jumps, 1u);
-  EXPECT_GE(flat_jumps, 10u);  // at least one per leaf cell along x
+  u64 jumps = 0;
+  EXPECT_TRUE(AdvanceSamples(tree, m, jumps).empty());
+  EXPECT_EQ(jumps, 1u);
 }
 
 TEST(LatticeAdvance, NoSkipStructureTakesEveryLatticePoint) {
@@ -354,7 +331,7 @@ TEST(LatticeAdvance, NoSkipStructureTakesEveryLatticePoint) {
   ASSERT_TRUE(IntersectAabb(m.ray, box, m.t_near, m.t_far));
   std::vector<u32> taken;
   Vec3f p;
-  while (render_detail::AdvanceToOccupied(nullptr, nullptr, m, p)) {
+  while (render_detail::AdvanceToOccupied(nullptr, m, p)) {
     taken.push_back(m.k++);
   }
   ASSERT_FALSE(taken.empty());

@@ -37,7 +37,7 @@ TEST_F(PipelineIntegration, BuildWiresEverything) {
   EXPECT_EQ(pipeline_->Dataset().id, SceneId::kMaterials);
   EXPECT_EQ(pipeline_->Codec().Dims(), pipeline_->Dataset().full_grid.Dims());
   EXPECT_EQ(pipeline_->Codec().Params().subgrid_count, 16);
-  EXPECT_GT(pipeline_->Skip().Bits().CountSet(), 0u);
+  EXPECT_GT(pipeline_->Skip().Leaf().Bits().CountSet(), 0u);
 }
 
 TEST_F(PipelineIntegration, VqrfRenderCloseToGroundTruth) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "scene/dataset.hpp"
 
@@ -29,19 +28,16 @@ class RenderEngineTest : public ::testing::Test {
     sp.table_size = 8192;
     codec_ = new SpNeRFModel(SpNeRFModel::Preprocess(*dataset_->vqrf, sp));
     mlp_ = new Mlp(Mlp::Random(11));
-    occupancy_ = new CoarseOccupancy(
-        CoarseOccupancy::Build(BitGrid::FromGrid(dataset_->full_grid), 4));
-    octree_ = new OccupancyOctree(OccupancyOctree::Build(*occupancy_));
+    octree_ = new OccupancyOctree(OccupancyOctree::Build(
+        CoarseOccupancy::Build(BitGrid::FromGrid(dataset_->full_grid), 4)));
   }
 
   static void TearDownTestSuite() {
     delete octree_;
-    delete occupancy_;
     delete mlp_;
     delete codec_;
     delete dataset_;
     octree_ = nullptr;
-    occupancy_ = nullptr;
     mlp_ = nullptr;
     codec_ = nullptr;
     dataset_ = nullptr;
@@ -54,8 +50,7 @@ class RenderEngineTest : public ::testing::Test {
     job.mlp = mlp_;
     job.camera = OrbitCameras(4, Vec3f{0.5f, 0.45f, 0.5f}, 1.35f, 25.f, 35.f,
                               size, size)[static_cast<std::size_t>(view)];
-    job.options.coarse_skip = occupancy_;
-    job.options.octree_skip = octree_;
+    job.options.skip = octree_;
     job.collect_stats = true;
     return job;
   }
@@ -63,14 +58,12 @@ class RenderEngineTest : public ::testing::Test {
   static SceneDataset* dataset_;
   static SpNeRFModel* codec_;
   static Mlp* mlp_;
-  static CoarseOccupancy* occupancy_;
   static OccupancyOctree* octree_;
 };
 
 SceneDataset* RenderEngineTest::dataset_ = nullptr;
 SpNeRFModel* RenderEngineTest::codec_ = nullptr;
 Mlp* RenderEngineTest::mlp_ = nullptr;
-CoarseOccupancy* RenderEngineTest::occupancy_ = nullptr;
 OccupancyOctree* RenderEngineTest::octree_ = nullptr;
 
 void ExpectSameImage(const Image& a, const Image& b) {

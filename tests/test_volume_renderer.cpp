@@ -150,8 +150,8 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   // Render a real scene with and without empty-space skipping. Both sample
   // each ray's lattice t_near + k * step; skipping only drops the points in
   // empty (dilated) leaf cells, whose trilinear stencils hold no density.
-  // So pixels, MLP evals and terminations are equal in either skip mode,
-  // while steps drop substantially.
+  // So pixels, MLP evals and terminations are equal with and without the
+  // octree, while steps drop substantially.
   DatasetParams dp;
   dp.resolution_override = 48;
   dp.vqrf.codebook_size = 64;
@@ -159,9 +159,8 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   const SceneDataset ds = BuildDataset(SceneId::kMic, dp);
   const GridFieldSource src(ds.full_grid);
   const Mlp mlp = Mlp::Random(7);
-  const CoarseOccupancy occ =
-      CoarseOccupancy::Build(BitGrid::FromGrid(ds.full_grid), 4);
-  const OccupancyOctree tree = OccupancyOctree::Build(occ);
+  const OccupancyOctree tree = OccupancyOctree::Build(
+      CoarseOccupancy::Build(BitGrid::FromGrid(ds.full_grid), 4));
 
   const Camera cam({-0.8f, 0.6f, 0.5f}, {0.5f, 0.4f, 0.5f}, {0.f, 1.f, 0.f},
                    40.f, 24, 24);
@@ -169,21 +168,15 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   RenderStats a;
   const Image img_a = VolumeRenderer(no_skip).Render(src, mlp, cam, &a);
   EXPECT_GT(a.mlp_evals, 0u);
-  for (const skip::Mode mode : {skip::Mode::kFlat, skip::Mode::kOctree}) {
-    SCOPED_TRACE(skip::ModeName(mode));
-    const skip::Mode saved = skip::SetActiveMode(mode);
-    RenderOptions with_skip;
-    with_skip.coarse_skip = &occ;
-    with_skip.octree_skip = &tree;
-    RenderStats b;
-    const Image img_b = VolumeRenderer(with_skip).Render(src, mlp, cam, &b);
-    skip::SetActiveMode(saved);
-    EXPECT_LT(b.steps, a.steps / 2);
-    EXPECT_GT(b.coarse_skips, 0u);
-    EXPECT_EQ(img_a.Pixels(), img_b.Pixels());
-    EXPECT_EQ(a.mlp_evals, b.mlp_evals);
-    EXPECT_EQ(a.terminated_rays, b.terminated_rays);
-  }
+  RenderOptions with_skip;
+  with_skip.skip = &tree;
+  RenderStats b;
+  const Image img_b = VolumeRenderer(with_skip).Render(src, mlp, cam, &b);
+  EXPECT_LT(b.steps, a.steps / 2);
+  EXPECT_GT(b.coarse_skips, 0u);
+  EXPECT_EQ(img_a.Pixels(), img_b.Pixels());
+  EXPECT_EQ(a.mlp_evals, b.mlp_evals);
+  EXPECT_EQ(a.terminated_rays, b.terminated_rays);
 }
 
 TEST(VolumeRenderer, StatsPerRayDistributions) {

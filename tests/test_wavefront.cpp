@@ -1,8 +1,7 @@
 // Differential suite for the wavefront (batched) sampling path: images,
 // RenderStats and DecodeCounters must be BIT-identical to the scalar
 // per-ray reference for every field source, fp16 mode and worker count —
-// the wavefront refactor is execution policy, never semantics. The same
-// holds across empty-space-skip modes (all but the jump count), and every
+// the wavefront refactor is execution policy, never semantics. Every
 // marcher takes exactly the lattice samples a brute-force oracle takes.
 #include <gtest/gtest.h>
 
@@ -12,11 +11,9 @@
 
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "grid/occupancy.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "render/field_source.hpp"
 #include "render/render_engine.hpp"
-#include "render/skip_mode.hpp"
 #include "render/volume_renderer.hpp"
 #include "scene/dataset.hpp"
 
@@ -37,20 +34,6 @@ class ScopedSimdPath {
   simd::Path saved_;
 };
 
-/// Forces the SPNF_SKIP empty-space-skipping mode for one scope, restoring
-/// the previous mode on exit. Renderers capture the mode at construction,
-/// so the scope must cover the Render call, not just job setup.
-class ScopedSkipMode {
- public:
-  explicit ScopedSkipMode(skip::Mode m) : saved_(skip::SetActiveMode(m)) {}
-  ~ScopedSkipMode() { skip::SetActiveMode(saved_); }
-  ScopedSkipMode(const ScopedSkipMode&) = delete;
-  ScopedSkipMode& operator=(const ScopedSkipMode&) = delete;
-
- private:
-  skip::Mode saved_;
-};
-
 /// Batch sizes the per-kernel differential suites sweep: empty, single
 /// lane, width-1 / width / width+1 for both 4- and 8-lane ISAs, one and
 /// two MLP blocks (kBlock = 32) and a non-multiple-of-kBlock tail.
@@ -65,19 +48,15 @@ void ExpectSameRunningStats(const RunningStats& a, const RunningStats& b) {
   EXPECT_EQ(a.Sum(), b.Sum());
 }
 
-void ExpectSameStatsButSkips(const RenderStats& a, const RenderStats& b) {
+void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.rays, b.rays);
   EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.coarse_skips, b.coarse_skips);
   EXPECT_EQ(a.mlp_evals, b.mlp_evals);
   EXPECT_EQ(a.terminated_rays, b.terminated_rays);
   EXPECT_EQ(a.missed_rays, b.missed_rays);
   ExpectSameRunningStats(a.steps_per_ray, b.steps_per_ray);
   ExpectSameRunningStats(a.evals_per_ray, b.evals_per_ray);
-}
-
-void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
-  ExpectSameStatsButSkips(a, b);
-  EXPECT_EQ(a.coarse_skips, b.coarse_skips);
 }
 
 void ExpectSameCounters(const DecodeCounters& a, const DecodeCounters& b) {
@@ -107,21 +86,18 @@ class WavefrontTest : public ::testing::Test {
     sp.subgrid_count = 8;
     sp.table_size = 8192;
     codec_ = new SpNeRFModel(SpNeRFModel::Preprocess(*dataset_->vqrf, sp));
-    occupancy_ = new CoarseOccupancy(
-        CoarseOccupancy::Build(BitGrid::FromGrid(dataset_->full_grid), 4));
-    octree_ = new OccupancyOctree(OccupancyOctree::Build(*occupancy_));
+    octree_ = new OccupancyOctree(OccupancyOctree::Build(
+        CoarseOccupancy::Build(BitGrid::FromGrid(dataset_->full_grid), 4)));
     mlp_ = new Mlp(Mlp::Random(11));
   }
 
   static void TearDownTestSuite() {
     delete mlp_;
     delete octree_;
-    delete occupancy_;
     delete codec_;
     delete dataset_;
     mlp_ = nullptr;
     octree_ = nullptr;
-    occupancy_ = nullptr;
     codec_ = nullptr;
     dataset_ = nullptr;
   }
@@ -144,57 +120,30 @@ class WavefrontTest : public ::testing::Test {
     job.camera = TestCamera();
     job.options.wavefront = wavefront;
     job.options.fp16_mlp = fp16_mlp;
-    if (with_skip) {
-      job.options.coarse_skip = occupancy_;
-      job.options.octree_skip = octree_;
-    }
+    if (with_skip) job.options.skip = octree_;
     job.collect_stats = true;
     RenderEngineOptions opts;
     opts.max_threads = workers;
     return RenderEngine(opts).Render(job);
   }
 
-  /// The differential matrix for one source: scalar reference at 1 worker
-  /// vs wavefront at 1/2/8 workers, fp16_mlp off and on.
+  /// The differential matrix for one source: the scalar marcher at 1 worker
+  /// is the reference for the scalar and wavefront marchers at 1/2/8
+  /// workers, with the skip octree attached and fp16_mlp off and on.
   static void RunDifferential(const FieldSource& source) {
     for (const bool fp16 : {false, true}) {
       const RenderResult scalar = RenderWith(source, false, fp16, 1);
-      EXPECT_GT(scalar.stats.mlp_evals, 0u);  // non-trivial view
-      for (const unsigned workers : {1u, 2u, 8u}) {
-        const RenderResult wave = RenderWith(source, true, fp16, workers);
-        SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0") +
-                     " workers=" + std::to_string(workers));
-        ExpectSameImage(scalar.image, wave.image);
-        ExpectSameStats(scalar.stats, wave.stats);
-        ExpectSameCounters(scalar.counters, wave.counters);
-      }
-    }
-  }
-
-  /// Octree-vs-flat differential for one source: both modes take the same
-  /// lattice samples, so images, RenderStats (all but coarse_skips, which
-  /// counts jumps) and DecodeCounters match EXACTLY against the flat scalar
-  /// reference for every execution policy, and the octree never needs more
-  /// jumps than flat.
-  static void RunSkipDifferential(const FieldSource& source) {
-    for (const bool fp16 : {false, true}) {
-      RenderResult flat;
-      {
-        const ScopedSkipMode g(skip::Mode::kFlat);
-        flat = RenderWith(source, /*wavefront=*/false, fp16, 1);
-      }
-      EXPECT_GT(flat.stats.coarse_skips, 0u);  // skipping actually engaged
-      const ScopedSkipMode g(skip::Mode::kOctree);
+      EXPECT_GT(scalar.stats.mlp_evals, 0u);     // non-trivial view
+      EXPECT_GT(scalar.stats.coarse_skips, 0u);  // skipping actually engaged
       for (const bool wavefront : {false, true}) {
         for (const unsigned workers : {1u, 2u, 8u}) {
-          const RenderResult tree = RenderWith(source, wavefront, fp16, workers);
+          const RenderResult got = RenderWith(source, wavefront, fp16, workers);
           SCOPED_TRACE(std::string("fp16=") + (fp16 ? "1" : "0") +
                        " wavefront=" + (wavefront ? "1" : "0") +
                        " workers=" + std::to_string(workers));
-          ExpectSameImage(flat.image, tree.image);
-          ExpectSameStatsButSkips(flat.stats, tree.stats);
-          EXPECT_LE(tree.stats.coarse_skips, flat.stats.coarse_skips);
-          ExpectSameCounters(flat.counters, tree.counters);
+          ExpectSameImage(scalar.image, got.image);
+          ExpectSameStats(scalar.stats, got.stats);
+          ExpectSameCounters(scalar.counters, got.counters);
         }
       }
     }
@@ -209,7 +158,6 @@ class WavefrontTest : public ::testing::Test {
                                         /*fp16_mlp=*/false, 1,
                                         /*with_skip=*/false);
     EXPECT_GT(off.stats.mlp_evals, 0u);
-    const ScopedSkipMode g(skip::Mode::kOctree);
     for (const bool wavefront : {false, true}) {
       const RenderResult tree =
           RenderWith(source, wavefront, /*fp16_mlp=*/false, 2);
@@ -223,14 +171,12 @@ class WavefrontTest : public ::testing::Test {
 
   static SceneDataset* dataset_;
   static SpNeRFModel* codec_;
-  static CoarseOccupancy* occupancy_;
   static OccupancyOctree* octree_;
   static Mlp* mlp_;
 };
 
 SceneDataset* WavefrontTest::dataset_ = nullptr;
 SpNeRFModel* WavefrontTest::codec_ = nullptr;
-CoarseOccupancy* WavefrontTest::occupancy_ = nullptr;
 OccupancyOctree* WavefrontTest::octree_ = nullptr;
 Mlp* WavefrontTest::mlp_ = nullptr;
 
@@ -256,22 +202,6 @@ TEST_F(WavefrontTest, SpNeRFFp16TiuBitIdentical) {
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
                                  /*collect_counters=*/false);
   RunDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipAnalyticBitIdentical) {
-  const AnalyticFieldSource source(dataset_->scene);
-  RunSkipDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipGridBitIdentical) {
-  const GridFieldSource source(dataset_->full_grid);
-  RunSkipDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipSpNeRFBitIdentical) {
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
-                                 /*collect_counters=*/false);
-  RunSkipDifferential(source);
 }
 
 /// A zero-density source that records every position it samples, so a
@@ -327,7 +257,7 @@ TEST_F(WavefrontTest, EveryMarcherTakesTheLatticeOracleSamples) {
       m.step = defaults.step_size;
       if (!IntersectAabb(m.ray, box, m.t_near, m.t_far)) continue;
       for (u32 k = 0; m.T(k) < m.t_far; ++k) {
-        if (occupancy_->OccupiedAtWorld(m.Point(k))) {
+        if (octree_->Leaf().OccupiedAtWorld(m.Point(k))) {
           expect.push_back(m.Point(k));
         }
       }
@@ -337,19 +267,15 @@ TEST_F(WavefrontTest, EveryMarcherTakesTheLatticeOracleSamples) {
   ASSERT_FALSE(expect.empty());
 
   RecordingSource source;
-  for (const skip::Mode mode : {skip::Mode::kFlat, skip::Mode::kOctree}) {
-    const ScopedSkipMode g(mode);
-    for (const bool wavefront : {false, true}) {
-      for (const unsigned workers : {1u, 2u, 8u}) {
-        SCOPED_TRACE(std::string(skip::ModeName(mode)) + " wavefront=" +
-                     (wavefront ? "1" : "0") +
-                     " workers=" + std::to_string(workers));
-        (void)RenderWith(source, wavefront, /*fp16_mlp=*/false, workers);
-        const std::vector<Vec3f> got = source.TakeSorted();
-        ASSERT_EQ(got.size(), expect.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i], expect[i]) << "sample " << i;
-        }
+  for (const bool wavefront : {false, true}) {
+    for (const unsigned workers : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string("wavefront=") + (wavefront ? "1" : "0") +
+                   " workers=" + std::to_string(workers));
+      (void)RenderWith(source, wavefront, /*fp16_mlp=*/false, workers);
+      const std::vector<Vec3f> got = source.TakeSorted();
+      ASSERT_EQ(got.size(), expect.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], expect[i]) << "sample " << i;
       }
     }
   }
@@ -369,56 +295,6 @@ TEST_F(WavefrontTest, SkipOffSpNeRFPixelsIdentical) {
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
                                  /*collect_counters=*/false);
   RunSkipOffDifferential(source);
-}
-
-TEST_F(WavefrontTest, OctreeSkipSimdPathsBitIdentical) {
-  // The skip mode is orthogonal to the SIMD dispatch path: forcing either
-  // SIMD path must leave the octree-vs-flat differential bit-identical.
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
-                                 /*collect_counters=*/false);
-  for (const simd::Path path :
-       {simd::Path::kScalar, simd::BestSupportedPath()}) {
-    const ScopedSimdPath sp(path);
-    RenderResult flat, tree;
-    {
-      const ScopedSkipMode g(skip::Mode::kFlat);
-      flat = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-    }
-    {
-      const ScopedSkipMode g(skip::Mode::kOctree);
-      tree = RenderWith(source, /*wavefront=*/true, /*fp16_mlp=*/true, 2);
-    }
-    SCOPED_TRACE(std::string("simd=") + simd::PathName(path));
-    ExpectSameImage(flat.image, tree.image);
-    ExpectSameStatsButSkips(flat.stats, tree.stats);
-    ExpectSameCounters(flat.counters, tree.counters);
-  }
-}
-
-TEST_F(WavefrontTest, OctreeModeWithoutOctreeFallsBackToFlat) {
-  // octree mode active but no octree attached: the renderer must degrade
-  // to the flat chain rather than dropping skipping entirely.
-  const SpNeRFFieldSource source(*codec_, false, false);
-  RenderResult flat, degraded;
-  {
-    const ScopedSkipMode g(skip::Mode::kFlat);
-    flat = RenderWith(source, false, false, 1);
-  }
-  {
-    const ScopedSkipMode g(skip::Mode::kOctree);
-    RenderJob job;
-    job.source = &source;
-    job.mlp = mlp_;
-    job.camera = TestCamera();
-    job.options.wavefront = false;
-    job.options.coarse_skip = occupancy_;  // octree_skip left null
-    job.collect_stats = true;
-    RenderEngineOptions opts;
-    opts.max_threads = 1;
-    degraded = RenderEngine(opts).Render(job);
-  }
-  ExpectSameImage(flat.image, degraded.image);
-  ExpectSameStats(flat.stats, degraded.stats);
 }
 
 TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
@@ -592,34 +468,6 @@ TEST_F(WavefrontTest, SimdForcedPathRenderBitIdentical) {
   ExpectSameImage(scalar_r.image, simd_r.image);
   ExpectSameStats(scalar_r.stats, simd_r.stats);
   ExpectSameCounters(scalar_r.counters, simd_r.counters);
-}
-
-TEST(SkipModeTest, ResolveOverrideRules) {
-  // The SPNF_SKIP resolution rule is pure and exposed exactly so this
-  // test can pin it without spawning subprocesses: absent/garbage ->
-  // octree (the default fast path); a parseable name -> that mode.
-  EXPECT_EQ(skip::ResolveOverride(nullptr), skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride(""), skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride("definitely-not-a-mode"),
-            skip::Mode::kOctree);
-  EXPECT_EQ(skip::ResolveOverride("flat"), skip::Mode::kFlat);
-  EXPECT_EQ(skip::ResolveOverride("octree"), skip::Mode::kOctree);
-  EXPECT_STREQ(skip::ModeName(skip::Mode::kFlat), "flat");
-  EXPECT_STREQ(skip::ModeName(skip::Mode::kOctree), "octree");
-  skip::Mode parsed = skip::Mode::kOctree;
-  EXPECT_TRUE(skip::ParseModeName("flat", parsed));
-  EXPECT_EQ(parsed, skip::Mode::kFlat);
-  EXPECT_FALSE(skip::ParseModeName("FLAT", parsed));  // contract: lower-case
-  EXPECT_EQ(parsed, skip::Mode::kFlat);               // untouched on failure
-}
-
-TEST(SkipModeTest, SetActiveModeRoundTrips) {
-  const skip::Mode before = skip::ActiveMode();
-  const skip::Mode prev = skip::SetActiveMode(skip::Mode::kFlat);
-  EXPECT_EQ(prev, before);  // returns the displaced mode for scoped saves
-  EXPECT_EQ(skip::ActiveMode(), skip::Mode::kFlat);
-  skip::SetActiveMode(before);
-  EXPECT_EQ(skip::ActiveMode(), before);
 }
 
 TEST(SimdDispatchTest, ResolveOverrideRules) {
