@@ -82,7 +82,7 @@ BENCHMARK(BM_OnlineDecode);
 
 void BM_TrilinearSampleSpnerf(benchmark::State& state) {
   MicroData& d = Data();
-  const SpNeRFFieldSource src(d.codec, false, false);
+  const SpNeRFFieldSource src(d.codec);
   Rng rng(3);
   std::vector<Vec3f> points;
   for (int i = 0; i < 4096; ++i) {
@@ -117,7 +117,7 @@ std::vector<Vec3f> CoherentFront(std::size_t n, u64 seed) {
 
 void BM_SampleBatchSpnerf(benchmark::State& state) {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec, false, false);
+  SpNeRFFieldSource src(d.codec);
   src.SetBatchDedup(state.range(0) != 0);
   const std::vector<Vec3f> points = CoherentFront(1024, 8);
   std::vector<FieldSample> out(points.size());
@@ -205,7 +205,7 @@ BENCHMARK(BM_MlpForwardBatchFp32);
 /// the refactor parallelised. Sweeps the worker count.
 void BM_RenderEngineTile(benchmark::State& state) {
   MicroData& d = Data();
-  const SpNeRFFieldSource src(d.codec, false, false);
+  const SpNeRFFieldSource src(d.codec);
   RenderJob job;
   job.source = &src;
   job.mlp = &d.mlp;
@@ -269,7 +269,7 @@ BENCHMARK(BM_LookupCsc);
 /// gated).
 void WriteBatchedDecodeJson() {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec, false, false);
+  SpNeRFFieldSource src(d.codec);
   const std::vector<Vec3f> points = CoherentFront(1024, 10);
   std::vector<FieldSample> out(points.size());
   constexpr int kReps = 200;
@@ -340,7 +340,7 @@ void WriteBatchedDecodeJson() {
   src.SetBatchDedup(true);
   const auto [blend_s, blend_v] =
       timed_pair([&] { src.SampleBatch(points, out, nullptr); });
-  SpNeRFFieldSource tiu_src(d.codec, /*fp16_tiu=*/true, false);
+  SpNeRFFieldSource tiu_src(d.codec, /*fp16_tiu=*/true);
   const auto [tiu_s, tiu_v] =
       timed_pair([&] { tiu_src.SampleBatch(points, out, nullptr); });
   simd::SetActivePath(saved_path);

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
 
   const std::shared_ptr<const ScenePipeline> pipeline =
       PipelineRepository::Global().Acquire(config);
-  SpNeRFFieldSource source(pipeline->Codec(), config.render.fp16_mlp,
-                           /*collect_counters=*/false);
+  SpNeRFFieldSource source(pipeline->Codec(), config.render.fp16_mlp);
 
   std::vector<RenderJob> jobs;
   for (int v = 0; v < views; ++v) {
@@ -145,8 +144,7 @@ int main(int argc, char** argv) {
       sc.coarse_factor = 1;
       const std::shared_ptr<const ScenePipeline> p =
           PipelineRepository::Global().Acquire(sc);
-      SpNeRFFieldSource sweep_source(p->Codec(), sc.render.fp16_mlp,
-                                     /*collect_counters=*/false);
+      SpNeRFFieldSource sweep_source(p->Codec(), sc.render.fp16_mlp);
       std::vector<RenderJob> sweep_jobs;
       for (int v = 0; v < sweep_views; ++v) {
         RenderJob job;

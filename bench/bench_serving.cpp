@@ -77,10 +77,10 @@ PhaseResult RunPhase(const LoadGeneratorOptions& load,
 }
 
 void PrintPhase(const char* name, const PhaseResult& r) {
-  const LatencySample& lat = r.stats.total_latency;
+  const obs::HistogramSnapshot& lat = r.stats.total_us;
   std::printf("%-24s %9.1f rps | p50 %7.2f ms  p95 %7.2f ms  p99 %7.2f ms\n",
-              name, r.stats.ThroughputRps(), lat.Percentile(50),
-              lat.Percentile(95), lat.Percentile(99));
+              name, r.stats.ThroughputRps(), PercentileMs(lat, 50),
+              PercentileMs(lat, 95), PercentileMs(lat, 99));
   std::printf("             completed %llu, rejected %llu, expired %llu | "
               "queue peak %zu | mean batch %.2f\n",
               static_cast<unsigned long long>(r.stats.completed),
@@ -93,8 +93,8 @@ void PrintPhase(const char* name, const PhaseResult& r) {
     std::printf("             %-11s p50 %7.2f ms  p99 %7.2f ms | "
                 "completed %llu, shed %llu\n",
                 RequestPriorityName(static_cast<RequestPriority>(c)),
-                cls.total_latency.Percentile(50),
-                cls.total_latency.Percentile(99),
+                PercentileMs(cls.total_us, 50),
+                PercentileMs(cls.total_us, 99),
                 static_cast<unsigned long long>(cls.completed),
                 static_cast<unsigned long long>(cls.rejected + cls.expired));
   }
@@ -126,9 +126,9 @@ double ShedRate(const ServiceStatsSnapshot& s) {
 void AddPhaseEntries(bench::JsonReport& json, const std::string& name,
                      const PhaseResult& r, unsigned threads) {
   const ServiceStatsSnapshot& s = r.stats;
-  json.AddPercentiles(name, s.total_latency.Percentile(50),
-                      s.total_latency.Percentile(95),
-                      s.total_latency.Percentile(99), s.ThroughputRps(),
+  json.AddPercentiles(name, PercentileMs(s.total_us, 50),
+                      PercentileMs(s.total_us, 95),
+                      PercentileMs(s.total_us, 99), s.ThroughputRps(),
                       threads);
   json.AddCounts(name + "/outcomes", s.completed, s.rejected, s.expired,
                  threads);
@@ -141,9 +141,9 @@ void AddPhaseEntries(bench::JsonReport& json, const std::string& name,
         s.span_ms > 0.0
             ? static_cast<double>(cls.completed) * 1000.0 / s.span_ms
             : 0.0;
-    json.AddPercentiles(cls_name, cls.total_latency.Percentile(50),
-                        cls.total_latency.Percentile(95),
-                        cls.total_latency.Percentile(99), cls_rps, threads);
+    json.AddPercentiles(cls_name, PercentileMs(cls.total_us, 50),
+                        PercentileMs(cls.total_us, 95),
+                        PercentileMs(cls.total_us, 99), cls_rps, threads);
     json.AddCounts(cls_name + "/outcomes", cls.completed, cls.rejected,
                    cls.expired, threads);
   }
@@ -381,7 +381,7 @@ int main(int argc, char** argv) {
     }
     // Percentile over this service's completions (the warmup request is one
     // sample among `probes`; the median is robust to it).
-    const double overhead_ms = service.Stats().queue_latency.Percentile(50);
+    const double overhead_ms = PercentileMs(service.Stats().queue_us, 50);
     std::printf("dispatch overhead (submit->issue, empty queue): %.3f ms\n",
                 overhead_ms);
     json.Add("serve/dispatch-overhead", overhead_ms, effective_threads);

@@ -99,8 +99,7 @@ int main(int argc, char** argv) {
   // Aggregate decode traffic of one rendered view, collected through the
   // tile engine's parallel counter shards — the unit-activity mix the SGPU
   // sees over a frame.
-  SpNeRFFieldSource source(codec, /*fp16_tiu=*/false,
-                           /*collect_counters=*/false);
+  SpNeRFFieldSource source(codec);
   RenderJob job;
   job.source = &source;
   job.mlp = &pipeline->GetMlp();

@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
 
   const std::shared_ptr<const ScenePipeline> pipeline =
       PipelineRepository::Global().Acquire(config);
-  SpNeRFFieldSource source(pipeline->Codec(), config.render.fp16_mlp,
-                           /*collect_counters=*/false);
+  SpNeRFFieldSource source(pipeline->Codec(), config.render.fp16_mlp);
   source.SetMasking(masking);
 
   std::vector<RenderJob> jobs;
@@ -59,7 +58,8 @@ int main(int argc, char** argv) {
                 "%.1f evals/ray)\n",
                 v, name, static_cast<unsigned long long>(r.stats.steps),
                 static_cast<unsigned long long>(r.stats.mlp_evals),
-                r.stats.evals_per_ray.Mean());
+                static_cast<double>(r.stats.mlp_evals) /
+                    static_cast<double>(std::max<u64>(r.stats.rays, 1)));
     total.Merge(r.stats);
   }
   // wall_ms is per-job (issue -> that job's completion); the batch's wall

@@ -7,7 +7,6 @@
 //        [capacity=16]
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "common/config.hpp"
 #include "serve/load_generator.hpp"
@@ -44,29 +43,23 @@ int main(int argc, char** argv) {
   const ReplayResult replay = ReplayTrace(service, trace);
   service.Drain();
 
-  // Per-priority outcome breakdown from the per-request responses.
-  std::map<RequestPriority, std::map<RequestStatus, int>> outcomes;
-  std::map<RequestPriority, LatencySample> latency;
-  for (std::size_t i = 0; i < replay.responses.size(); ++i) {
-    const RenderResponse& r = replay.responses[i];
-    const RequestPriority p = trace[i].request.priority;
-    ++outcomes[p][r.status];
-    if (r.status == RequestStatus::kCompleted) latency[p].Record(r.total_ms);
-  }
-
+  // Per-priority outcome breakdown, straight from the service's collector.
+  const ServiceStatsSnapshot stats = service.Stats();
   std::printf("%-12s %5s %5s %5s | %9s %9s\n", "priority", "done", "rej",
               "exp", "p50 ms", "p95 ms");
   for (RequestPriority p : {RequestPriority::kInteractive,
                             RequestPriority::kNormal,
                             RequestPriority::kBatch}) {
-    std::printf("%-12s %5d %5d %5d | %9.2f %9.2f\n", RequestPriorityName(p),
-                outcomes[p][RequestStatus::kCompleted],
-                outcomes[p][RequestStatus::kRejected],
-                outcomes[p][RequestStatus::kExpired],
-                latency[p].Percentile(50), latency[p].Percentile(95));
+    const PriorityClassStats& cls =
+        stats.by_class[static_cast<std::size_t>(p)];
+    std::printf("%-12s %5llu %5llu %5llu | %9.2f %9.2f\n",
+                RequestPriorityName(p),
+                static_cast<unsigned long long>(cls.completed),
+                static_cast<unsigned long long>(cls.rejected),
+                static_cast<unsigned long long>(cls.expired),
+                PercentileMs(cls.total_us, 50), PercentileMs(cls.total_us, 95));
   }
 
-  const ServiceStatsSnapshot stats = service.Stats();
   std::printf("\n%.1f rps served | queue peak %zu/%zu | %llu engine "
               "batch(es), mean size %.2f\n",
               stats.ThroughputRps(), stats.queue_peak, opts.queue_capacity,

@@ -84,8 +84,7 @@ Image ScenePipeline::RenderSpnerf(const Camera& camera, bool bitmap_masking,
                                   DecodeCounters* counters) const {
   // One stateless source serves every worker; decode activity lands in the
   // engine's per-tile counter shards, never in the source.
-  SpNeRFFieldSource source(*assets_.codec, config_.render.fp16_mlp,
-                           /*collect_counters=*/false);
+  SpNeRFFieldSource source(*assets_.codec, config_.render.fp16_mlp);
   source.SetMasking(bitmap_masking);
   RenderJob job;
   job.source = &source;
@@ -103,11 +102,9 @@ double ScenePipeline::RenderComparison(const Camera& camera, Image* gt,
                                        Image* vqrf, Image* spnerf_premask,
                                        Image* spnerf_postmask) const {
   const AnalyticFieldSource gt_src(assets_.dataset->scene);
-  SpNeRFFieldSource pre_src(*assets_.codec, config_.render.fp16_mlp,
-                            /*collect_counters=*/false);
+  SpNeRFFieldSource pre_src(*assets_.codec, config_.render.fp16_mlp);
   pre_src.SetMasking(false);
-  SpNeRFFieldSource post_src(*assets_.codec, config_.render.fp16_mlp,
-                             /*collect_counters=*/false);
+  SpNeRFFieldSource post_src(*assets_.codec, config_.render.fp16_mlp);
   post_src.SetMasking(true);
   std::shared_ptr<const DenseGrid> restored;  // pinned for the batch
   std::unique_ptr<GridFieldSource> vqrf_src;

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "encoding/hash_table.hpp"
 #include "encoding/subgrid.hpp"

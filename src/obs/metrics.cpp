@@ -61,7 +61,7 @@ u64 HistogramSnapshot::Percentile(double p) const {
 
 std::size_t Histogram::BucketIndex(u64 value) {
   constexpr int kSub = kHistogramSubBucketBits;
-  constexpr u64 kSubCount = 1ull << kSub;  // 4 sub-buckets per octave
+  constexpr u64 kSubCount = 1ull << kSub;  // sub-buckets per octave
   if (value < kSubCount) return static_cast<std::size_t>(value);  // exact
   const int octave = MsbIndex(value) - kSub;
   const u64 sub = (value >> octave) & (kSubCount - 1);

@@ -6,13 +6,14 @@
 // function-local static) and when snapshotting.
 //
 // Histograms bucket by value magnitude: each power-of-two octave is split
-// into 2^kSubBucketBits linear sub-buckets (values below the first full
-// octave are exact). That gives a bounded relative error of
-// 1/2^kSubBucketBits (25%) at any scale, a fixed 256-slot layout for every
-// histogram, and — the property the tests pin — a deterministic,
-// order-independent merge: merging per-worker snapshots is a bucket-wise
-// integer add, so any merge order yields bit-identical totals, matching
-// the repo-wide bit-determinism contract (ARCHITECTURE.md).
+// into 2^kHistogramSubBucketBits linear sub-buckets (values below the first
+// full octave are exact). That gives a bounded relative error of
+// 1/2^kHistogramSubBucketBits (1/32, ~3.1%) at any scale, a fixed 1920-slot
+// layout for every histogram, and — the property the tests pin — a
+// deterministic, order-independent merge: merging per-worker snapshots is
+// a bucket-wise integer add, so any merge order yields bit-identical
+// totals, matching the repo-wide bit-determinism contract
+// (ARCHITECTURE.md).
 #pragma once
 
 #include <array>
@@ -53,10 +54,14 @@ class Gauge {
   std::atomic<i64> value_{0};
 };
 
-/// Sub-bucket resolution: 4 linear sub-buckets per power-of-two octave.
-inline constexpr int kHistogramSubBucketBits = 2;
-/// 256 slots cover every u64 value at that resolution (see BucketIndex).
-inline constexpr std::size_t kHistogramBucketCount = 256;
+/// Sub-bucket resolution: 32 linear sub-buckets per power-of-two octave, so
+/// a bucket's upper bound is at most 1/32 above any value it holds.
+inline constexpr int kHistogramSubBucketBits = 5;
+/// Slots covering every u64 value at that resolution (see BucketIndex): the
+/// exact range below 2^kHistogramSubBucketBits, then one row of sub-buckets
+/// per octave up to bit 63 — 1920 slots.
+inline constexpr std::size_t kHistogramBucketCount =
+    std::size_t{64 - kHistogramSubBucketBits + 1} << kHistogramSubBucketBits;
 
 /// Plain (non-atomic) copy of a histogram's state. The merge unit: merging
 /// is a bucket-wise add, so it is associative, commutative and

@@ -95,18 +95,17 @@ class GridFieldSource final : public FieldSource {
 class SpNeRFFieldSource final : public FieldSource {
  public:
   /// When `fp16_tiu` is set, interpolation weights and accumulation are
-  /// rounded to binary16, matching the hardware TIU exactly.
+  /// rounded to binary16, matching the hardware TIU exactly. The third
+  /// parameter is ignored; it is kept so existing three-argument callers
+  /// still compile.
   ///
-  /// The two-argument Sample overload writes decode activity to the
-  /// caller-supplied counter shard and touches no source state, so one
-  /// source instance can serve many render workers. The one-argument
-  /// overload keeps the legacy convenience of an internal accumulator
-  /// (enabled by `collect_counters`); that path is single-threaded only.
+  /// Decode activity goes only to the counter shard a caller hands the
+  /// two-argument Sample or SampleBatch; the source itself keeps no mutable
+  /// state, so one instance can serve many render workers.
   explicit SpNeRFFieldSource(const SpNeRFModel& model, bool fp16_tiu = false,
-                             bool collect_counters = true)
+                             bool /*ignored*/ = false)
       : model_(&model),
         fp16_tiu_(fp16_tiu),
-        collect_counters_(collect_counters),
         masking_(model.Params().bitmap_masking) {}
 
   /// Overrides the model's bitmap-masking setting for this source (used by
@@ -115,7 +114,7 @@ class SpNeRFFieldSource final : public FieldSource {
   [[nodiscard]] bool Masking() const { return masking_; }
 
   [[nodiscard]] FieldSample Sample(Vec3f world) const override {
-    return Sample(world, collect_counters_ ? &counters_ : nullptr);
+    return Sample(world, nullptr);
   }
   [[nodiscard]] FieldSample Sample(Vec3f world,
                                    DecodeCounters* counters) const override;
@@ -142,16 +141,11 @@ class SpNeRFFieldSource final : public FieldSource {
 
   [[nodiscard]] const char* Name() const override { return "spnerf"; }
 
-  [[nodiscard]] const DecodeCounters& Counters() const { return counters_; }
-  void ResetCounters() { counters_ = {}; }
-
  private:
   const SpNeRFModel* model_;
   bool fp16_tiu_;
-  bool collect_counters_;
   bool masking_;
   bool batch_dedup_ = true;
-  mutable DecodeCounters counters_;  // one-argument Sample path only
 };
 
 namespace detail {

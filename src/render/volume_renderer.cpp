@@ -146,11 +146,7 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
   float t_near = 0.f, t_far = 0.f;
   if (stats) ++stats->rays;
   if (!IntersectAabb(ray, scene_box, t_near, t_far)) {
-    if (stats) {
-      ++stats->missed_rays;
-      stats->steps_per_ray.Add(0.0);
-      stats->evals_per_ray.Add(0.0);
-    }
+    if (stats) ++stats->missed_rays;
     return options_.background;
   }
 
@@ -204,8 +200,6 @@ Vec3f VolumeRenderer::RenderRay(const FieldSource& source, const Mlp& mlp,
     stats->coarse_skips += march.jumps;
     stats->mlp_evals += ray_evals;
     if (terminated) ++stats->terminated_rays;
-    stats->steps_per_ray.Add(static_cast<double>(ray_steps));
-    stats->evals_per_ray.Add(static_cast<double>(ray_evals));
   }
   if (count_obs) {
     if (shard_ptr != nullptr) shard_ptr->Flush();
@@ -366,9 +360,8 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
     s.active.swap(s.next_active);
   }
 
-  // Finalize in row-major order: pixels, then the per-ray stat reductions
-  // in exactly the scalar loop's Add() order (RunningStats merges are
-  // order-sensitive; integer counters are not).
+  // Finalize: each ray's pixel, plus its integer stat counters (integer
+  // adds, so the totals match the scalar loop in any order).
   for (int y = y0; y < y1; ++y) {
     for (int x = x0; x < x1; ++x) {
       const WavefrontRay& r =
@@ -380,8 +373,6 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
         if (stats) {
           ++stats->rays;
           ++stats->missed_rays;
-          stats->steps_per_ray.Add(0.0);
-          stats->evals_per_ray.Add(0.0);
         }
         continue;
       }
@@ -393,8 +384,6 @@ void VolumeRenderer::RenderTileWavefront(const FieldSource& source,
         stats->mlp_evals += r.evals;
         stats->coarse_skips += r.march.jumps;
         if (r.terminated) ++stats->terminated_rays;
-        stats->steps_per_ray.Add(static_cast<double>(r.steps));
-        stats->evals_per_ray.Add(static_cast<double>(r.evals));
       }
     }
   }

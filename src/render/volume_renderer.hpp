@@ -5,7 +5,6 @@
 #pragma once
 
 #include "common/image.hpp"
-#include "common/stats.hpp"
 #include "grid/occupancy_octree.hpp"
 #include "render/camera.hpp"
 #include "render/field_source.hpp"
@@ -43,8 +42,9 @@ struct RenderOptions {
   const OccupancyOctree* skip = nullptr;
 };
 
-/// Per-frame statistics. `mlp_evals` and the per-ray distributions drive the
-/// cycle-level simulator's workload.
+/// Per-frame statistics. `rays`, `steps`, `coarse_skips` and `mlp_evals`
+/// drive the cycle-level simulator's workload (sim/workload.hpp); per-ray
+/// means are `steps / rays` and `mlp_evals / rays`.
 struct RenderStats {
   u64 rays = 0;
   u64 steps = 0;           // field samples taken
@@ -53,15 +53,11 @@ struct RenderStats {
   u64 mlp_evals = 0;       // samples that passed the alpha threshold
   u64 terminated_rays = 0; // rays stopped by early termination
   u64 missed_rays = 0;     // rays that never hit the scene box
-  RunningStats steps_per_ray;
-  RunningStats evals_per_ray;
 
   void Reset() { *this = RenderStats{}; }
 
-  /// Accumulates another shard. Counters merge exactly; the per-ray
-  /// distributions merge with Welford's pairwise formula, which is
-  /// deterministic for a fixed merge order (the engine always reduces tile
-  /// shards in tile order).
+  /// Accumulates another shard. Integer adds, so shards reduce to the same
+  /// totals in any merge order.
   void Merge(const RenderStats& other) {
     rays += other.rays;
     steps += other.steps;
@@ -69,8 +65,6 @@ struct RenderStats {
     mlp_evals += other.mlp_evals;
     terminated_rays += other.terminated_rays;
     missed_rays += other.missed_rays;
-    steps_per_ray.Merge(other.steps_per_ray);
-    evals_per_ray.Merge(other.evals_per_ray);
   }
 };
 

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/image.hpp"
 #include "common/logging.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "render/field_source.hpp"
 #include "render/quality.hpp"
@@ -26,51 +25,6 @@ double MsBetween(Clock::time_point from, Clock::time_point to) {
 
 std::size_t PriorityClass(RequestPriority priority) {
   return static_cast<std::size_t>(priority);
-}
-
-u64 ToMicros(double ms) {
-  return ms <= 0.0 ? 0 : static_cast<u64>(ms * 1000.0);
-}
-
-/// Registry handles for the serving layer, resolved once (the registry map
-/// lookup never sits on a request path). Recording through them is gated on
-/// obs::CountersEnabled() at each site.
-struct ServeMetrics {
-  obs::Counter& submitted;
-  obs::Counter& completed;
-  obs::Counter& rejected;
-  obs::Counter& expired;
-  obs::Counter& batches;
-  obs::Counter& coalesced;  // requests that shared another request's batch
-  obs::Gauge& queue_depth;
-  obs::Histogram& queue_us;
-  obs::Histogram& total_us;
-  obs::Histogram& batch_size;
-  /// Quality-ladder instrumentation: completions per rung, plus the rung
-  /// value distribution ("serve/rung") — its p50/p99 say how degraded the
-  /// served traffic was at a glance.
-  std::array<obs::Counter*, kQualityRungCount> rung_completed;
-  obs::Histogram& rung_dist;
-};
-
-ServeMetrics& Metrics() {
-  auto& reg = obs::MetricsRegistry::Global();
-  static ServeMetrics m{reg.GetCounter("serve/submitted"),
-                        reg.GetCounter("serve/completed"),
-                        reg.GetCounter("serve/rejected"),
-                        reg.GetCounter("serve/expired"),
-                        reg.GetCounter("serve/batches"),
-                        reg.GetCounter("serve/coalesced"),
-                        reg.GetGauge("serve/queue-depth"),
-                        reg.GetHistogram("serve/queue-us"),
-                        reg.GetHistogram("serve/total-us"),
-                        reg.GetHistogram("serve/batch-size"),
-                        {&reg.GetCounter("serve/rung0"),
-                         &reg.GetCounter("serve/rung1"),
-                         &reg.GetCounter("serve/rung2"),
-                         &reg.GetCounter("serve/rung3")},
-                        reg.GetHistogram("serve/rung")};
-  return m;
 }
 
 /// Interned tag ids for the request-span args, resolved once per process so
@@ -218,11 +172,6 @@ void RenderService::Shed(Pending& entry, RequestStatus status) {
   } else {
     stats_.RecordRejected(PriorityClass(entry.request.priority));
   }
-  if (obs::CountersEnabled()) {
-    (status == RequestStatus::kExpired ? Metrics().expired
-                                       : Metrics().rejected)
-        .Add();
-  }
   if (entry.trace_submit_ns != 0) {
     // A shed request's whole timeline is its queue wait: one "request" span
     // submit -> shed, tagged with the terminal outcome.
@@ -293,7 +242,6 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
                                    entry->request.deadline_ms));
   }
   entry->request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::CountersEnabled()) Metrics().submitted.Add();
   if (obs::FullTracingEnabled()) {
     // Stamp the span start on the trace clock and intern the batch key once
     // per request — every later event of this request reuses both. The
@@ -430,7 +378,6 @@ void RenderService::CompleteBatch(
                         batch->entries.front()->request_id);
   complete_span->AddArg("batch",
                         static_cast<i64>(batch->dispatch_index));
-  stats_.RecordBatch(batch->entries.size());
   // Online cost-model refinement: the batch's issue->complete span on the
   // service's scheduling clock (virtual under ManualClock — deterministic
   // tests never see measured wall time), amortised per request. Also how
@@ -467,14 +414,6 @@ void RenderService::CompleteBatch(
       stats_.RecordCompleted(response.queue_ms, response.total_ms,
                              PriorityClass(entry.request.priority),
                              rung_index);
-      if (obs::CountersEnabled()) {
-        Metrics().completed.Add();
-        Metrics().queue_us.Record(ToMicros(response.queue_ms));
-        Metrics().total_us.Record(ToMicros(response.total_ms));
-        Metrics().rung_completed[std::min(
-            rung_index, kQualityRungCount - 1)]->Add();
-        Metrics().rung_dist.Record(static_cast<u64>(rung_index));
-      }
       if (entry.trace_submit_ns != 0 && done_ns != 0) {
         // The request's envelope span, submit -> response ready, carrying
         // every tag the timeline reconstruction needs.
@@ -539,8 +478,7 @@ void RenderService::IssueBatch(std::shared_ptr<InflightBatch> batch) {
     const RenderRequest& front = batch->entries.front()->request;
     batch->pipeline = repository_.Acquire(front.config);
     batch->source = std::make_unique<SpNeRFFieldSource>(
-        batch->pipeline->Codec(), front.config.render.fp16_mlp,
-        /*collect_counters=*/false);
+        batch->pipeline->Codec(), front.config.render.fp16_mlp);
     batch->source->SetMasking(front.bitmap_masking);
 
     // One set of rung-applied options serves the whole batch — coalescing
@@ -714,13 +652,7 @@ void RenderService::DispatcherLoop() {
           ++inflight_batches_;
           batch->dispatch_index = next_dispatch_++;
           batch->issued = clock_.Now();
-          if (obs::CountersEnabled()) {
-            Metrics().batches.Add();
-            Metrics().batch_size.Record(batch->entries.size());
-            if (batch->entries.size() > 1) {
-              Metrics().coalesced.Add(batch->entries.size() - 1);
-            }
-          }
+          stats_.RecordBatch(batch->entries.size());
           if (obs::FullTracingEnabled()) {
             batch->trace_issue_ns = obs::TraceNowNs();
           }
@@ -731,9 +663,6 @@ void RenderService::DispatcherLoop() {
       // Close the pressure window once the backlog has drained below the
       // low-water mark (no-op while it isn't open).
       governor_.NoteDepth(depth);
-      if (obs::CountersEnabled()) {
-        Metrics().queue_depth.Set(static_cast<i64>(depth));
-      }
     }
 
     for (PendingHandle& entry : expired) {

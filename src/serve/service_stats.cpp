@@ -1,8 +1,9 @@
 #include "serve/service_stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstring>
+#include <chrono>
+
+#include "obs/trace.hpp"
 
 namespace spnerf {
 namespace {
@@ -11,142 +12,137 @@ std::size_t ClampClass(std::size_t priority_class) {
   return std::min(priority_class, kPriorityClassCount - 1);
 }
 
+u64 ToMicros(double ms) {
+  return ms <= 0.0 ? 0 : static_cast<u64>(ms * 1000.0);
+}
+
+/// Lock-free max: raises `target` to `value` unless it already holds more.
+template <typename T>
+void RaiseTo(std::atomic<T>& target, T value) {
+  T seen = target.load(std::memory_order_relaxed);
+  while (value > seen && !target.compare_exchange_weak(
+                             seen, value, std::memory_order_relaxed)) {
+  }
+}
+
+/// The registry's "serve/*" series, resolved once (the registry map lookup
+/// never sits on a request path). Every ServiceStats forwards to them while
+/// obs counters are on, so they total every service in the process.
+struct ServeMetrics {
+  obs::Counter& submitted;
+  obs::Counter& completed;
+  obs::Counter& rejected;
+  obs::Counter& expired;
+  obs::Counter& batches;
+  obs::Counter& coalesced;  // requests that shared another request's batch
+  obs::Gauge& queue_depth;
+  obs::Histogram& queue_us;
+  obs::Histogram& total_us;
+  obs::Histogram& batch_size;
+  /// Quality-ladder instrumentation: completions per rung, plus the rung
+  /// value distribution ("serve/rung") — its p50/p99 say how degraded the
+  /// served traffic was at a glance.
+  std::array<obs::Counter*, kQualityRungCount> rung_completed;
+  obs::Histogram& rung_dist;
+};
+
+ServeMetrics& Metrics() {
+  auto& reg = obs::MetricsRegistry::Global();
+  static ServeMetrics m{reg.GetCounter("serve/submitted"),
+                        reg.GetCounter("serve/completed"),
+                        reg.GetCounter("serve/rejected"),
+                        reg.GetCounter("serve/expired"),
+                        reg.GetCounter("serve/batches"),
+                        reg.GetCounter("serve/coalesced"),
+                        reg.GetGauge("serve/queue-depth"),
+                        reg.GetHistogram("serve/queue-us"),
+                        reg.GetHistogram("serve/total-us"),
+                        reg.GetHistogram("serve/batch-size"),
+                        {&reg.GetCounter("serve/rung0"),
+                         &reg.GetCounter("serve/rung1"),
+                         &reg.GetCounter("serve/rung2"),
+                         &reg.GetCounter("serve/rung3")},
+                        reg.GetHistogram("serve/rung")};
+  return m;
+}
+
 }  // namespace
 
-u64 LatencySample::KeyFor(double ms) const {
-  // SplitMix64 finalizer over (seed ^ value bits): a deterministic,
-  // order-free hash — every occurrence of the same value gets the same key,
-  // which is exactly what makes the bottom-K retained set a function of the
-  // recorded multiset alone (KMV sketch property).
-  u64 x;
-  static_assert(sizeof(x) == sizeof(ms), "double must be 64-bit");
-  std::memcpy(&x, &ms, sizeof(x));
-  x ^= seed_;
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-void LatencySample::Record(double ms) {
-  ++total_;
-  const Entry entry{KeyFor(ms), ms};
-  if (entries_.size() < cap_) {
-    entries_.push_back(entry);
-    // Becoming full re-organizes the store into a max-heap once; from here
-    // on every eviction is O(log cap).
-    if (entries_.size() == cap_) {
-      std::make_heap(entries_.begin(), entries_.end(), EntryLess);
-    }
-    return;
-  }
-  // Full: keep the entry only if it displaces the current largest key.
-  if (!EntryLess(entry, entries_.front())) return;
-  std::pop_heap(entries_.begin(), entries_.end(), EntryLess);
-  entries_.back() = entry;
-  std::push_heap(entries_.begin(), entries_.end(), EntryLess);
-}
-
-void LatencySample::Merge(const LatencySample& other) {
-  total_ += other.total_;
-  entries_.insert(entries_.end(), other.entries_.begin(),
-                  other.entries_.end());
-  if (entries_.size() >= cap_) {
-    // Bottom-K of the union: sort ascending, truncate, restore the heap.
-    // The k smallest of a multiset union equal the k smallest of the union
-    // of each side's k smallest — so this retains exactly what one
-    // reservoir fed both streams would have.
-    std::sort(entries_.begin(), entries_.end(), EntryLess);
-    if (entries_.size() > cap_) entries_.resize(cap_);
-    if (entries_.size() == cap_) {
-      std::make_heap(entries_.begin(), entries_.end(), EntryLess);
-    }
-  }
-}
-
-double LatencySample::Percentile(double p) const {
-  if (entries_.empty()) return 0.0;
-  std::vector<double> sorted;
-  sorted.reserve(entries_.size());
-  for (const Entry& e : entries_) sorted.push_back(e.value);
-  std::sort(sorted.begin(), sorted.end());
-  // Nearest-rank: the smallest value with at least p% of samples <= it.
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const auto rank = static_cast<std::size_t>(std::ceil(
-      clamped / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[rank == 0 ? 0 : rank - 1];
-}
-
-double LatencySample::MeanMs() const {
-  if (entries_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const Entry& e : entries_) sum += e.value;
-  return sum / static_cast<double>(entries_.size());
-}
-
-double LatencySample::MaxMs() const {
-  if (entries_.empty()) return 0.0;
-  double max = entries_.front().value;
-  for (const Entry& e : entries_) max = std::max(max, e.value);
-  return max;
-}
-
-void ServiceStats::BumpQueuePeak(std::size_t depth) {
-  std::size_t peak = queue_peak_.load(std::memory_order_relaxed);
-  while (depth > peak && !queue_peak_.compare_exchange_weak(
-                             peak, depth, std::memory_order_relaxed)) {
-  }
+i64 ServiceStats::NowNs() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             clock_->Now().time_since_epoch())
+      .count();
 }
 
 void ServiceStats::RecordSubmitted(std::size_t queue_depth_after) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  // One-time span start: only the very first request ever takes the lock.
-  if (!has_submit_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!has_submit_.load(std::memory_order_relaxed)) {
-      first_submit_ = clock_->Now();
-      has_submit_.store(true, std::memory_order_release);
-    }
+  // One-time span start: only submits that find the stamp unset read the
+  // clock, and the first to CAS it in wins.
+  if (first_submit_ns_.load(std::memory_order_relaxed) == kNoStamp) {
+    i64 unset = kNoStamp;
+    first_submit_ns_.compare_exchange_strong(unset, NowNs(),
+                                             std::memory_order_relaxed);
   }
   queue_depth_.store(queue_depth_after, std::memory_order_relaxed);
-  BumpQueuePeak(queue_depth_after);
+  RaiseTo(queue_peak_, queue_depth_after);
+  if (obs::CountersEnabled()) Metrics().submitted.Add();
 }
 
 void ServiceStats::RecordRejected(std::size_t priority_class) {
   rejected_.fetch_add(1, std::memory_order_relaxed);
   class_counters_[ClampClass(priority_class)].rejected.fetch_add(
       1, std::memory_order_relaxed);
+  if (obs::CountersEnabled()) Metrics().rejected.Add();
 }
 
 void ServiceStats::RecordExpired(std::size_t priority_class) {
   expired_.fetch_add(1, std::memory_order_relaxed);
   class_counters_[ClampClass(priority_class)].expired.fetch_add(
       1, std::memory_order_relaxed);
+  if (obs::CountersEnabled()) Metrics().expired.Add();
 }
 
 void ServiceStats::RecordBatch(std::size_t size) {
-  if (size > 0) batches_.fetch_add(1, std::memory_order_relaxed);
+  if (size == 0) return;
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::CountersEnabled()) {
+    ServeMetrics& m = Metrics();
+    m.batches.Add();
+    m.batch_size.Record(size);
+    if (size > 1) m.coalesced.Add(size - 1);
+  }
 }
 
 void ServiceStats::RecordCompleted(double queue_ms, double total_ms,
                                    std::size_t priority_class,
                                    std::size_t rung) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t cls = ClampClass(priority_class);
+  const std::size_t rung_index = std::min(rung, kQualityRungCount - 1);
+  const u64 queue_us = ToMicros(queue_ms);
+  const u64 total_us = ToMicros(total_ms);
+  completed_.fetch_add(1, std::memory_order_relaxed);
   class_counters_[cls].completed.fetch_add(1, std::memory_order_relaxed);
-  rung_completed_[std::min(rung, kQualityRungCount - 1)].fetch_add(
-      1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(mutex_);
-  queue_latency_.Record(queue_ms);
-  total_latency_.Record(total_ms);
-  class_latency_[cls].Record(total_ms);
-  last_complete_ = clock_->Now();
-  has_complete_.store(true, std::memory_order_release);
+  rung_completed_[rung_index].fetch_add(1, std::memory_order_relaxed);
+  queue_us_.Record(queue_us);
+  total_us_.Record(total_us);
+  class_total_us_[cls].Record(total_us);
+  RaiseTo(last_complete_ns_, NowNs());
+  if (obs::CountersEnabled()) {
+    ServeMetrics& m = Metrics();
+    m.completed.Add();
+    m.queue_us.Record(queue_us);
+    m.total_us.Record(total_us);
+    m.rung_completed[rung_index]->Add();
+    m.rung_dist.Record(rung_index);
+  }
 }
 
 void ServiceStats::RecordQueueDepth(std::size_t depth) {
   queue_depth_.store(depth, std::memory_order_relaxed);
-  BumpQueuePeak(depth);
+  RaiseTo(queue_peak_, depth);
+  if (obs::CountersEnabled()) {
+    Metrics().queue_depth.Set(static_cast<i64>(depth));
+  }
 }
 
 ServiceStatsSnapshot ServiceStats::Snapshot() const {
@@ -158,6 +154,8 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
   snap.batches = batches_.load(std::memory_order_relaxed);
   snap.queue_depth = queue_depth_.load(std::memory_order_relaxed);
   snap.queue_peak = queue_peak_.load(std::memory_order_relaxed);
+  snap.queue_us = queue_us_.Snapshot();
+  snap.total_us = total_us_.Snapshot();
   for (std::size_t c = 0; c < kPriorityClassCount; ++c) {
     snap.by_class[c].completed =
         class_counters_[c].completed.load(std::memory_order_relaxed);
@@ -165,21 +163,15 @@ ServiceStatsSnapshot ServiceStats::Snapshot() const {
         class_counters_[c].rejected.load(std::memory_order_relaxed);
     snap.by_class[c].expired =
         class_counters_[c].expired.load(std::memory_order_relaxed);
+    snap.by_class[c].total_us = class_total_us_[c].Snapshot();
   }
   for (std::size_t r = 0; r < kQualityRungCount; ++r) {
     snap.by_rung[r] = rung_completed_[r].load(std::memory_order_relaxed);
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  snap.queue_latency = queue_latency_;
-  snap.total_latency = total_latency_;
-  for (std::size_t c = 0; c < kPriorityClassCount; ++c) {
-    snap.by_class[c].total_latency = class_latency_[c];
-  }
-  if (has_submit_.load(std::memory_order_acquire) &&
-      has_complete_.load(std::memory_order_acquire)) {
-    snap.span_ms = std::chrono::duration<double, std::milli>(last_complete_ -
-                                                             first_submit_)
-                       .count();
+  const i64 first = first_submit_ns_.load(std::memory_order_relaxed);
+  const i64 last = last_complete_ns_.load(std::memory_order_relaxed);
+  if (first != kNoStamp && last != kNoStamp) {
+    snap.span_ms = static_cast<double>(last - first) / 1e6;
   }
   return snap;
 }

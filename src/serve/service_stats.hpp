@@ -3,84 +3,33 @@
 // a priority inversion shows up as a regression in the tracked percentiles
 // instead of hiding inside the aggregate.
 //
-// Latencies live in a bounded deterministic reservoir (LatencySample):
-// below the cap every recorded value is kept and percentiles are true order
-// statistics; past the cap the reservoir keeps the bottom-K entries of a
-// seeded value-hash order — a KMV-style sketch whose retained set depends
-// only on the recorded multiset of values, never on arrival order or on how
-// recording was sharded across collectors. Merging is therefore exact in
-// the sketch sense: Merge(R(A), R(B)) retains exactly the same samples as
-// R(A ++ B), so distributed collectors lose nothing relative to a single
-// one.
+// ServiceStats is the serving layer's only recorder: RenderService makes
+// one Record* call per event, the collector keeps its own per-service view
+// of it, and forwards the same event to the process-global obs registry's
+// "serve/*" series while obs counters are on (obs::CountersEnabled()).
 //
-// The counter side of the collector is lock-free (relaxed atomics +
-// CAS-max for the queue peak), so RenderService admission records without
-// taking a second lock. Only latency recording (completion path) and
-// Snapshot() take the internal mutex.
+// Latencies are obs::Histograms in microseconds, the same log-bucketed
+// layout the registry series use: a percentile reads the upper bound of
+// the p-th ranked value's bucket, at most 1/32 above the exact order
+// statistic (obs/metrics.hpp), in fixed memory however long the service
+// runs.
+//
+// Every mutator is lock-free (relaxed atomics, plus CAS for the queue peak
+// and the span stamps), so neither admission nor the completion path takes
+// a lock to record.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
-#include <mutex>
-#include <vector>
+#include <limits>
 
 #include "common/clock.hpp"
 #include "common/types.hpp"
+#include "obs/metrics.hpp"
 #include "render/quality.hpp"
 
 namespace spnerf {
-
-/// Bounded deterministic latency reservoir. Exact below the cap (every
-/// value kept, percentiles are nearest-rank order statistics); past the cap
-/// it keeps the `cap` entries with the smallest seeded value-hash keys
-/// (bottom-K), so memory is bounded while the retained set stays a
-/// deterministic, order-independent, merge-stable function of the recorded
-/// values. Count() always reports the number of values recorded, not
-/// retained.
-class LatencySample {
- public:
-  static constexpr std::size_t kDefaultCap = 8192;
-
-  explicit LatencySample(std::size_t cap = kDefaultCap,
-                         u64 seed = 0x9e3779b97f4a7c15ull)
-      : cap_(cap == 0 ? 1 : cap), seed_(seed) {}
-
-  void Record(double ms);
-  /// Folds another reservoir in. Both sides should share cap and seed (the
-  /// defaults everywhere); the result keeps this side's. Retains exactly
-  /// what a single reservoir fed the concatenated streams would retain.
-  void Merge(const LatencySample& other);
-
-  /// Values recorded over the reservoir's lifetime (not retained samples).
-  [[nodiscard]] std::size_t Count() const { return total_; }
-  /// Samples currently retained: == Count() until the cap is reached.
-  [[nodiscard]] std::size_t Retained() const { return entries_.size(); }
-  [[nodiscard]] std::size_t Cap() const { return cap_; }
-  /// Nearest-rank percentile over the retained samples, `p` in [0, 100] —
-  /// exact while Count() <= Cap(). Returns 0 when empty.
-  [[nodiscard]] double Percentile(double p) const;
-  [[nodiscard]] double MeanMs() const;  // over retained samples
-  [[nodiscard]] double MaxMs() const;   // over retained samples
-
- private:
-  struct Entry {
-    u64 key = 0;
-    double value = 0.0;
-  };
-  static bool EntryLess(const Entry& a, const Entry& b) {
-    return a.key != b.key ? a.key < b.key : a.value < b.value;
-  }
-  [[nodiscard]] u64 KeyFor(double ms) const;
-
-  std::size_t cap_;
-  u64 seed_;
-  std::size_t total_ = 0;
-  // Plain vector below the cap; re-organized into a max-heap (EntryLess)
-  // once full so eviction of the largest key is O(log cap).
-  std::vector<Entry> entries_;
-};
 
 /// Number of scheduling classes (RequestPriority values); class counters
 /// below index by static_cast<std::size_t>(priority).
@@ -88,15 +37,15 @@ inline constexpr std::size_t kPriorityClassCount = 3;
 
 /// Per-priority-class slice of the collector: how many requests of the
 /// class completed / were shed, and the completed requests'
-/// submit-to-response latency samples.
+/// submit-to-response latencies.
 struct PriorityClassStats {
   u64 completed = 0;
   u64 rejected = 0;
   u64 expired = 0;
-  LatencySample total_latency;
+  obs::HistogramSnapshot total_us;  // submit -> response ready, in µs
 };
 
-/// One view of the collector. Latency samples cover completed requests
+/// One view of the collector. Latency histograms cover completed requests
 /// only; shed requests (rejected/expired) are counted, not timed.
 struct ServiceStatsSnapshot {
   u64 submitted = 0;
@@ -106,8 +55,8 @@ struct ServiceStatsSnapshot {
   u64 batches = 0;   // engine calls dispatched
   std::size_t queue_depth = 0;  // at snapshot time
   std::size_t queue_peak = 0;   // high-water mark
-  LatencySample queue_latency;  // submit -> dispatch
-  LatencySample total_latency;  // submit -> response ready
+  obs::HistogramSnapshot queue_us;  // submit -> dispatch, in µs
+  obs::HistogramSnapshot total_us;  // submit -> response ready, in µs
   /// Indexed by static_cast<std::size_t>(RequestPriority).
   std::array<PriorityClassStats, kPriorityClassCount> by_class;
   /// Completed requests per quality rung (render/quality.hpp). Without the
@@ -122,7 +71,8 @@ struct ServiceStatsSnapshot {
     return span_ms > 0.0 ? static_cast<double>(completed) * 1000.0 / span_ms
                          : 0.0;
   }
-  /// Requests per dispatched engine call.
+  /// Requests per dispatched engine call. Batches count at dispatch and
+  /// requests at completion, so this is exact once the service is drained.
   [[nodiscard]] double MeanBatchSize() const {
     return batches ? static_cast<double>(completed) /
                          static_cast<double>(batches)
@@ -130,14 +80,18 @@ struct ServiceStatsSnapshot {
   }
 };
 
-/// Thread-safe collector the RenderService reports into. Counter mutators
-/// (submitted/rejected/expired/batch/queue-depth) are lock-free — they sit
-/// on the admission path; RecordCompleted and Snapshot() take the
-/// internal mutex for the latency reservoirs. Snapshot() is consistent for
-/// any quiesced service; while mutators race it, individual counters are
-/// each correct but may be from moments a few operations apart. The
-/// per-class mutators take the request's priority class index
-/// (static_cast<std::size_t>(RequestPriority)).
+/// The p-th percentile (p in [0, 100]) of a microsecond latency histogram
+/// (ServiceStatsSnapshot::queue_us/total_us), in ms. 0 when empty.
+[[nodiscard]] inline double PercentileMs(const obs::HistogramSnapshot& us,
+                                         double p) {
+  return static_cast<double>(us.Percentile(p)) / 1000.0;
+}
+
+/// Thread-safe, lock-free collector the RenderService reports into.
+/// Snapshot() is consistent for any quiesced service; while mutators race
+/// it, individual counters are each correct but may be from moments a few
+/// operations apart. The per-class mutators take the request's priority
+/// class index (static_cast<std::size_t>(RequestPriority)).
 class ServiceStats {
  public:
   /// Clock behind the span timestamps (first submit / last complete).
@@ -148,6 +102,7 @@ class ServiceStats {
   void RecordSubmitted(std::size_t queue_depth_after);
   void RecordRejected(std::size_t priority_class);
   void RecordExpired(std::size_t priority_class);
+  /// One engine batch of `size` coalesced requests was dispatched.
   void RecordBatch(std::size_t size);
   /// `rung` is the quality rung the request was served at (0 when the
   /// ladder is off).
@@ -158,7 +113,9 @@ class ServiceStats {
   [[nodiscard]] ServiceStatsSnapshot Snapshot() const;
 
  private:
-  void BumpQueuePeak(std::size_t depth);
+  static constexpr i64 kNoStamp = std::numeric_limits<i64>::min();
+
+  [[nodiscard]] i64 NowNs() const;
 
   std::atomic<u64> submitted_{0};
   std::atomic<u64> completed_{0};
@@ -174,19 +131,17 @@ class ServiceStats {
   };
   std::array<ClassCounters, kPriorityClassCount> class_counters_;
   std::array<std::atomic<u64>, kQualityRungCount> rung_completed_{};
-  std::atomic<bool> has_submit_{false};
-  std::atomic<bool> has_complete_{false};
 
-  // Guards the latency reservoirs and the span timestamps (completion path
-  // and the one-time first-submit stamp only — never the admission path
-  // after the first request).
-  mutable std::mutex mutex_;
-  LatencySample queue_latency_;
-  LatencySample total_latency_;
-  std::array<LatencySample, kPriorityClassCount> class_latency_;
+  obs::Histogram queue_us_;
+  obs::Histogram total_us_;
+  std::array<obs::Histogram, kPriorityClassCount> class_total_us_;
+
   ClockSource* clock_ = &SystemClock();
-  std::chrono::steady_clock::time_point first_submit_{};
-  std::chrono::steady_clock::time_point last_complete_{};
+  /// Span stamps on the scheduling clock, in ns since its epoch; kNoStamp
+  /// until set. The first submit claims first_submit_ns_ once; every
+  /// completion raises last_complete_ns_ to its time.
+  std::atomic<i64> first_submit_ns_{kNoStamp};
+  std::atomic<i64> last_complete_ns_{kNoStamp};
 };
 
 }  // namespace spnerf

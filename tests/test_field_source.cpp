@@ -93,23 +93,18 @@ TEST_F(FieldSourceTest, SpnerfMatchesRestoredGridWhenCollisionFree) {
 }
 
 TEST_F(FieldSourceTest, CountersTrackVertexDecodes) {
-  SpNeRFFieldSource src(codec_);
-  src.ResetCounters();
+  const SpNeRFFieldSource src(codec_);
+  DecodeCounters counters;
   Rng rng(6);
   const int n = 100;
   for (int i = 0; i < n; ++i) {
-    (void)src.Sample({rng.NextFloat(), rng.NextFloat(), rng.NextFloat()});
+    (void)src.Sample({rng.NextFloat(), rng.NextFloat(), rng.NextFloat()},
+                     &counters);
   }
   // Up to 8 vertex decodes per in-range sample (corners with zero weight
   // are skipped).
-  EXPECT_GT(src.Counters().queries, 0u);
-  EXPECT_LE(src.Counters().queries, static_cast<u64>(n) * 8);
-}
-
-TEST_F(FieldSourceTest, CounterCollectionCanBeDisabled) {
-  SpNeRFFieldSource src(codec_, false, /*collect_counters=*/false);
-  (void)src.Sample({0.5f, 0.5f, 0.5f});
-  EXPECT_EQ(src.Counters().queries, 0u);
+  EXPECT_GT(counters.queries, 0u);
+  EXPECT_LE(counters.queries, static_cast<u64>(n) * 8);
 }
 
 TEST_F(FieldSourceTest, MaskingToggleChangesZeroRegions) {
@@ -135,8 +130,8 @@ TEST_F(FieldSourceTest, MaskingToggleChangesZeroRegions) {
 }
 
 TEST_F(FieldSourceTest, Fp16TiuCloseToFp32) {
-  const SpNeRFFieldSource fp32(codec_, /*fp16_tiu=*/false, false);
-  const SpNeRFFieldSource fp16(codec_, /*fp16_tiu=*/true, false);
+  const SpNeRFFieldSource fp32(codec_, /*fp16_tiu=*/false);
+  const SpNeRFFieldSource fp16(codec_, /*fp16_tiu=*/true);
   Rng rng(8);
   double max_rel = 0.0;
   for (int i = 0; i < 2000; ++i) {

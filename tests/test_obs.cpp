@@ -51,7 +51,7 @@ TEST(Histogram, SmallValuesAreExactBuckets) {
 TEST(Histogram, BucketBoundsAreContiguousAndContainTheirValues) {
   // Every probed value must land in a bucket whose range [prev_ub+1, ub]
   // contains it, and for values past the exact range the bucket width must
-  // stay within the 25% relative-error contract (4 sub-buckets per octave).
+  // stay within the 1/2^kHistogramSubBucketBits relative-error contract.
   std::vector<u64> probes;
   for (u64 v = 0; v < 300; ++v) probes.push_back(v);
   for (int shift = 8; shift < 64; ++shift) {
@@ -70,10 +70,11 @@ TEST(Histogram, BucketBoundsAreContiguousAndContainTheirValues) {
     if (idx > 0) {
       const u64 lb = Histogram::BucketUpperBound(idx - 1) + 1;
       EXPECT_GE(v, lb) << "value " << v;
-      if (v >= 4) {
-        // Bucket width (ub - lb + 1) is at most a quarter of its lower
-        // bound: the bounded relative error the layout promises.
-        EXPECT_LE(4 * (ub - lb + 1), lb) << "value " << v;
+      if (v >= (1ull << obs::kHistogramSubBucketBits)) {
+        // Bucket width (ub - lb + 1) is at most lb / 2^kHistogramSubBucketBits:
+        // the bounded relative error the layout promises.
+        EXPECT_LE(ub - lb + 1, lb >> obs::kHistogramSubBucketBits)
+            << "value " << v;
       }
     }
   }
@@ -108,7 +109,7 @@ TEST(Histogram, PercentileNearestRankWithMaxClamp) {
   EXPECT_EQ(snap.Percentile(100.0), 3u);
 
   // In the lossy range the bucket ceiling is clamped to the observed max:
-  // 100 lands in a bucket whose upper bound is 111.
+  // 100 lands in a bucket whose upper bound is 101.
   Histogram lossy;
   lossy.Record(100);
   EXPECT_EQ(lossy.Snapshot().Percentile(100.0), 100u);
@@ -120,7 +121,7 @@ TEST(Histogram, PercentileNearestRankWithMaxClamp) {
 
 /// The recorded multiset, partitioned across any number of shards and
 /// merged in any order, must produce bit-identical snapshots — the same
-/// property the latency reservoirs and the repo's render determinism pin.
+/// property the repo's render determinism pins.
 TEST(Histogram, MergeIsShardAndOrderIndependent) {
   // A deterministic value stream spanning several octaves.
   std::vector<u64> values;

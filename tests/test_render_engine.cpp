@@ -89,17 +89,10 @@ void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.mlp_evals, b.mlp_evals);
   EXPECT_EQ(a.terminated_rays, b.terminated_rays);
   EXPECT_EQ(a.missed_rays, b.missed_rays);
-  EXPECT_EQ(a.steps_per_ray.Count(), b.steps_per_ray.Count());
-  // Bit-identical distributions: same shard decomposition, same ordered
-  // reduction, regardless of the worker count.
-  EXPECT_EQ(a.steps_per_ray.Mean(), b.steps_per_ray.Mean());
-  EXPECT_EQ(a.steps_per_ray.Variance(), b.steps_per_ray.Variance());
-  EXPECT_EQ(a.evals_per_ray.Mean(), b.evals_per_ray.Mean());
-  EXPECT_EQ(a.evals_per_ray.Variance(), b.evals_per_ray.Variance());
 }
 
 TEST_F(RenderEngineTest, ParallelImageAndCountersMatchSequentialReference) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 40);
 
   // Hand-rolled fully sequential reference: one stats object, one counter
@@ -123,24 +116,13 @@ TEST_F(RenderEngineTest, ParallelImageAndCountersMatchSequentialReference) {
 
   ExpectSameImage(result.image, ref);
   ExpectSameCounters(result.counters, ref_counters);
-  // Integer stats are exact under any merge order.
-  EXPECT_EQ(result.stats.rays, ref_stats.rays);
-  EXPECT_EQ(result.stats.steps, ref_stats.steps);
-  EXPECT_EQ(result.stats.mlp_evals, ref_stats.mlp_evals);
-  EXPECT_EQ(result.stats.coarse_skips, ref_stats.coarse_skips);
-  EXPECT_EQ(result.stats.steps_per_ray.Count(),
-            ref_stats.steps_per_ray.Count());
-  // The distribution means agree to rounding (tile-merged Welford vs pure
-  // sequential accumulation).
-  EXPECT_NEAR(result.stats.steps_per_ray.Mean(),
-              ref_stats.steps_per_ray.Mean(), 1e-9);
-  EXPECT_NEAR(result.stats.evals_per_ray.Mean(),
-              ref_stats.evals_per_ray.Mean(), 1e-9);
+  // Stats are integer counters, exact under any merge order.
+  ExpectSameStats(result.stats, ref_stats);
   EXPECT_GE(result.wall_ms, 0.0);
 }
 
 TEST_F(RenderEngineTest, BitDeterministicAcrossWorkerCounts) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 48);
 
   std::vector<RenderResult> results;
@@ -158,7 +140,7 @@ TEST_F(RenderEngineTest, BitDeterministicAcrossWorkerCounts) {
 }
 
 TEST_F(RenderEngineTest, MaxThreadsOptionIsDeterministicToo) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 33);  // odd size: ragged edge tiles
   ThreadPool pool(8);
   RenderResult first;
@@ -178,7 +160,7 @@ TEST_F(RenderEngineTest, MaxThreadsOptionIsDeterministicToo) {
 }
 
 TEST_F(RenderEngineTest, TileSizeChangesImageNeverCounters) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 40);
   ThreadPool pool(4);
   RenderEngineOptions a_opts, b_opts;
@@ -196,7 +178,7 @@ TEST_F(RenderEngineTest, TileSizeChangesImageNeverCounters) {
 }
 
 TEST_F(RenderEngineTest, BatchMatchesIndividualRenders) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   ThreadPool pool(4);
   RenderEngineOptions opts;
   opts.pool = &pool;
@@ -218,7 +200,7 @@ TEST_F(RenderEngineTest, BatchMatchesIndividualRenders) {
 TEST_F(RenderEngineTest, OversubscribedMaxThreadsStaysDeterministic) {
   // max_threads beyond the global pool size builds a dedicated pool; the
   // result must still match the 1-worker render bit for bit.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 40);
   RenderEngineOptions seq_opts;
   seq_opts.max_threads = 1;
@@ -239,7 +221,7 @@ TEST_F(RenderEngineTest, EmptyBatchReturnsNoResults) {
 TEST_F(RenderEngineTest, SubmitBatchFuturesMatchBlockingRenderBatch) {
   // The async path and its blocking wrapper are the same machinery: per-job
   // futures must deliver bit-identical images, counters and stats.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   ThreadPool pool(4);
   RenderEngineOptions opts;
   opts.pool = &pool;
@@ -263,7 +245,7 @@ TEST_F(RenderEngineTest, SubmitBatchFuturesMatchBlockingRenderBatch) {
 TEST_F(RenderEngineTest, ConcurrentSubmittedBatchesStayBitIdentical) {
   // Two batches in flight on one pool at once: interleaving their tiles
   // across the shared workers must not leak into pixels or stats.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   ThreadPool pool(4);
   RenderEngineOptions opts;
   opts.pool = &pool;
@@ -288,7 +270,7 @@ TEST_F(RenderEngineTest, ConcurrentSubmittedBatchesStayBitIdentical) {
 }
 
 TEST_F(RenderEngineTest, SubmitBatchCallbackDeliversResultsInJobOrder) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   ThreadPool pool(4);
   RenderEngineOptions opts;
   opts.pool = &pool;
@@ -313,7 +295,7 @@ TEST_F(RenderEngineTest, SubmitBatchCallbackDeliversResultsInJobOrder) {
 }
 
 TEST_F(RenderEngineTest, StatsOffLeavesZeroStats) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   RenderJob job = MakeJob(source, 24);
   job.collect_stats = false;
   const RenderResult r = RenderEngine().Render(job);
@@ -355,7 +337,7 @@ TEST_F(RenderEngineTest, RenderErrorFailsTheJobFutureNotTheProcess) {
 TEST_F(RenderEngineTest, VolumeRendererStatsPathMatchesEngine) {
   // The legacy VolumeRenderer::Render API must produce the engine's
   // results exactly — it is a thin wrapper over a one-job batch.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderJob job = MakeJob(source, 36);
   const RenderResult engine_result = RenderEngine().Render(job);
 

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/rng.hpp"
 #include "obs/trace.hpp"
 #include "serve/load_generator.hpp"
 
@@ -592,81 +591,6 @@ TEST_F(ServeTest, DeepExpiredBacklogDoesNotStallAdmission) {
   for (auto& f : dead) {
     EXPECT_EQ(f.get().status, RequestStatus::kExpired);
   }
-}
-
-// ------------------------------------------------------------- stats ----
-
-TEST(LatencySample, NearestRankPercentilesAreExact) {
-  LatencySample s;
-  for (int v = 1; v <= 100; ++v) s.Record(static_cast<double>(v));
-  EXPECT_EQ(s.Percentile(50), 50.0);
-  EXPECT_EQ(s.Percentile(95), 95.0);
-  EXPECT_EQ(s.Percentile(99), 99.0);
-  EXPECT_EQ(s.Percentile(100), 100.0);
-  EXPECT_EQ(s.Percentile(0), 1.0);
-  EXPECT_EQ(s.MaxMs(), 100.0);
-  EXPECT_EQ(s.MeanMs(), 50.5);
-}
-
-TEST(LatencySample, MergeEqualsUnionExactly) {
-  LatencySample a, b, all;
-  Rng rng(7);
-  for (int i = 0; i < 500; ++i) {
-    const double v = rng.NextDouble() * 100.0;
-    (i % 2 ? a : b).Record(v);
-    all.Record(v);
-  }
-  a.Merge(b);
-  ASSERT_EQ(a.Count(), all.Count());
-  for (double p : {1.0, 50.0, 95.0, 99.0, 99.9}) {
-    EXPECT_EQ(a.Percentile(p), all.Percentile(p)) << "p" << p;
-  }
-}
-
-TEST(LatencySample, RetainedIsBoundedPastCap) {
-  LatencySample s(/*cap=*/128);
-  Rng rng(11);
-  double max_recorded = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    const double v = rng.NextDouble() * 100.0;
-    max_recorded = std::max(max_recorded, v);
-    s.Record(v);
-  }
-  EXPECT_EQ(s.Count(), 5000u);
-  EXPECT_EQ(s.Retained(), 128u);
-  EXPECT_EQ(s.Cap(), 128u);
-  // Percentiles come from the retained subset: plausible, bounded values.
-  EXPECT_GE(s.Percentile(50), 0.0);
-  EXPECT_LE(s.Percentile(50), s.Percentile(99));
-  EXPECT_LE(s.MaxMs(), max_recorded);
-}
-
-TEST(LatencySample, MergeAtCapMatchesSingleReservoir) {
-  // The KMV merge-stability property past the cap: two sharded reservoirs
-  // merged retain exactly the samples one reservoir fed the concatenated
-  // stream would — sharding a latency stream across collectors loses
-  // nothing.
-  LatencySample a(/*cap=*/128), b(/*cap=*/128), all(/*cap=*/128);
-  Rng rng(13);
-  for (int i = 0; i < 4000; ++i) {
-    const double v = rng.NextDouble() * 50.0;
-    (i % 3 ? a : b).Record(v);
-    all.Record(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.Count(), all.Count());
-  EXPECT_EQ(a.Retained(), all.Retained());
-  for (double p : {5.0, 50.0, 95.0, 99.0}) {
-    EXPECT_EQ(a.Percentile(p), all.Percentile(p)) << "p" << p;
-  }
-  EXPECT_EQ(a.MaxMs(), all.MaxMs());
-}
-
-TEST(LatencySample, EmptySampleIsZero) {
-  const LatencySample s;
-  EXPECT_EQ(s.Count(), 0u);
-  EXPECT_EQ(s.Percentile(99), 0.0);
-  EXPECT_EQ(s.MeanMs(), 0.0);
 }
 
 }  // namespace

@@ -179,15 +179,15 @@ TEST(VolumeRenderer, CoarseSkipPreservesImage) {
   EXPECT_EQ(a.terminated_rays, b.terminated_rays);
 }
 
-TEST(VolumeRenderer, StatsPerRayDistributions) {
+TEST(VolumeRenderer, StatsCountEveryRay) {
   const SlabSource src(0.4f, 0.6f, 100.f, 0.2f);
   const Mlp mlp = Mlp::Random(8);
   RenderStats stats;
   (void)VolumeRenderer(RenderOptions{}).Render(src, mlp, FrontCamera(5), &stats);
   EXPECT_EQ(stats.rays, 25u);
-  EXPECT_EQ(stats.steps_per_ray.Count(), 25u);
-  EXPECT_NEAR(stats.steps_per_ray.Mean() * 25.0,
-              static_cast<double>(stats.steps), 25.0);
+  EXPECT_LE(stats.missed_rays, stats.rays);
+  EXPECT_GT(stats.steps, 0u);
+  EXPECT_LE(stats.mlp_evals, stats.steps);
 }
 
 TEST(VolumeRenderer, ParallelStatlessMatchesSequential) {

@@ -39,15 +39,6 @@ class ScopedSimdPath {
 /// two MLP blocks (kBlock = 32) and a non-multiple-of-kBlock tail.
 constexpr std::size_t kTailSizes[] = {0, 1, 3, 4, 5, 7, 8, 9, 31, 32, 33, 67};
 
-void ExpectSameRunningStats(const RunningStats& a, const RunningStats& b) {
-  EXPECT_EQ(a.Count(), b.Count());
-  EXPECT_EQ(a.Mean(), b.Mean());
-  EXPECT_EQ(a.Variance(), b.Variance());
-  EXPECT_EQ(a.Min(), b.Min());
-  EXPECT_EQ(a.Max(), b.Max());
-  EXPECT_EQ(a.Sum(), b.Sum());
-}
-
 void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.rays, b.rays);
   EXPECT_EQ(a.steps, b.steps);
@@ -55,8 +46,6 @@ void ExpectSameStats(const RenderStats& a, const RenderStats& b) {
   EXPECT_EQ(a.mlp_evals, b.mlp_evals);
   EXPECT_EQ(a.terminated_rays, b.terminated_rays);
   EXPECT_EQ(a.missed_rays, b.missed_rays);
-  ExpectSameRunningStats(a.steps_per_ray, b.steps_per_ray);
-  ExpectSameRunningStats(a.evals_per_ray, b.evals_per_ray);
 }
 
 void ExpectSameCounters(const DecodeCounters& a, const DecodeCounters& b) {
@@ -191,16 +180,14 @@ TEST_F(WavefrontTest, GridSourceBitIdentical) {
 }
 
 TEST_F(WavefrontTest, SpNeRFSourceBitIdentical) {
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
-                                 /*collect_counters=*/false);
+  const SpNeRFFieldSource source(*codec_);
   RunDifferential(source);
 }
 
 TEST_F(WavefrontTest, SpNeRFFp16TiuBitIdentical) {
   // The TIU path rounds interpolation weights to binary16, including its
   // own weight-flush skip test; the batched dedup must replicate it.
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
-                                 /*collect_counters=*/false);
+  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true);
   RunDifferential(source);
 }
 
@@ -292,13 +279,12 @@ TEST_F(WavefrontTest, SkipOffGridPixelsIdentical) {
 }
 
 TEST_F(WavefrontTest, SkipOffSpNeRFPixelsIdentical) {
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/false,
-                                 /*collect_counters=*/false);
+  const SpNeRFFieldSource source(*codec_);
   RunSkipOffDifferential(source);
 }
 
 TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   const RenderResult scalar = RenderWith(source, false, false, 1,
                                          /*with_skip=*/false);
   const RenderResult wave = RenderWith(source, true, false, 2,
@@ -309,8 +295,8 @@ TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
 }
 
 TEST_F(WavefrontTest, DedupOffMatchesDedupOn) {
-  SpNeRFFieldSource dedup(*codec_, false, false);
-  SpNeRFFieldSource no_dedup(*codec_, false, false);
+  SpNeRFFieldSource dedup(*codec_);
+  SpNeRFFieldSource no_dedup(*codec_);
   no_dedup.SetBatchDedup(false);
   const RenderResult a = RenderWith(dedup, true, false, 2);
   const RenderResult b = RenderWith(no_dedup, true, false, 2);
@@ -322,7 +308,7 @@ TEST_F(WavefrontTest, DedupOffMatchesDedupOn) {
 TEST_F(WavefrontTest, SampleBatchMatchesScalarSamples) {
   // Unit-level contract: SampleBatch == a Sample loop, values and counters,
   // for random (partly out-of-box) positions.
-  const SpNeRFFieldSource source(*codec_, false, false);
+  const SpNeRFFieldSource source(*codec_);
   Rng rng(3);
   std::vector<Vec3f> points;
   for (int i = 0; i < 500; ++i) {
@@ -402,7 +388,7 @@ void ExpectSampleBatchPathsAgree(const FieldSource& source, std::size_t n,
 TEST_F(WavefrontTest, SimdSpnerfBlendBitIdentical) {
   for (const bool fp16_tiu : {false, true}) {
     for (const bool dedup : {true, false}) {
-      SpNeRFFieldSource source(*codec_, fp16_tiu, /*collect_counters=*/false);
+      SpNeRFFieldSource source(*codec_, fp16_tiu);
       source.SetBatchDedup(dedup);
       for (const std::size_t n : kTailSizes) {
         SCOPED_TRACE(std::string("fp16_tiu=") + (fp16_tiu ? "1" : "0") +
@@ -454,8 +440,7 @@ TEST_F(WavefrontTest, SimdForwardBatchBitIdentical) {
 TEST_F(WavefrontTest, SimdForcedPathRenderBitIdentical) {
   // End-to-end: a full wavefront render dispatched on the vector path must
   // produce the same image/stats/counters as one forced to scalar.
-  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true,
-                                 /*collect_counters=*/false);
+  const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true);
   RenderResult scalar_r, simd_r;
   {
     const ScopedSimdPath g(simd::Path::kScalar);
