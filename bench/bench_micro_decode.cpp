@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark): per-operation throughput of the
 // software components — spatial hash, online decode, trilinear sampling
-// (scalar and batched/deduplicated), MLP forward (FP32/FP16, scalar and
-// batched), and the sparse-format lookups. After the google-benchmark
-// suite, a hand-timed section writes scalar-vs-batched decode entries (and
-// their throughput ratios) to BENCH_micro_decode.json via bench_util.
+// (scalar and batched), MLP forward (FP32/FP16, scalar and batched), and
+// the sparse-format lookups. After the google-benchmark suite, a hand-timed
+// section writes scalar-vs-batched decode entries (and their throughput
+// ratio) to BENCH_micro_decode.json via bench_util.
 #include <benchmark/benchmark.h>
 
 #include "assets/asset_cache.hpp"
@@ -97,8 +97,9 @@ void BM_TrilinearSampleSpnerf(benchmark::State& state) {
 BENCHMARK(BM_TrilinearSampleSpnerf);
 
 /// A wavefront-shaped front: samples of adjacent rays at one march depth —
-/// a jittered 32x32 patch spanning ~0.2 of the volume, so neighbouring
-/// samples share trilinear corner vertices like a real tile front does.
+/// a jittered 32x32 patch spanning ~0.2 of the volume. It times the batch
+/// path, not a render: its samples share corner vertices, while the fronts
+/// of rendered 16²–64² frames reference each vertex only 1.00–1.05 times.
 std::vector<Vec3f> CoherentFront(std::size_t n, u64 seed) {
   Rng rng(seed);
   std::vector<Vec3f> points;
@@ -117,8 +118,7 @@ std::vector<Vec3f> CoherentFront(std::size_t n, u64 seed) {
 
 void BM_SampleBatchSpnerf(benchmark::State& state) {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec);
-  src.SetBatchDedup(state.range(0) != 0);
+  const SpNeRFFieldSource src(d.codec);
   const std::vector<Vec3f> points = CoherentFront(1024, 8);
   std::vector<FieldSample> out(points.size());
   for (auto _ : state) {
@@ -128,7 +128,7 @@ void BM_SampleBatchSpnerf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(points.size()));
 }
-BENCHMARK(BM_SampleBatchSpnerf)->Arg(1)->Arg(0);  // 1 = dedup, 0 = no dedup
+BENCHMARK(BM_SampleBatchSpnerf);
 
 void BM_SampleBatchDense(benchmark::State& state) {
   MicroData& d = Data();
@@ -269,7 +269,7 @@ BENCHMARK(BM_LookupCsc);
 /// gated).
 void WriteBatchedDecodeJson() {
   MicroData& d = Data();
-  SpNeRFFieldSource src(d.codec);
+  const SpNeRFFieldSource src(d.codec);
   const std::vector<Vec3f> points = CoherentFront(1024, 10);
   std::vector<FieldSample> out(points.size());
   constexpr int kReps = 200;
@@ -286,24 +286,17 @@ void WriteBatchedDecodeJson() {
     for (std::size_t i = 0; i < points.size(); ++i)
       out[i] = src.Sample(points[i], nullptr);
   });
-  src.SetBatchDedup(true);
-  const double dedup_ms =
-      time_ms([&] { src.SampleBatch(points, out, nullptr); });
-  src.SetBatchDedup(false);
-  const double nodedup_ms =
+  const double batch_ms =
       time_ms([&] { src.SampleBatch(points, out, nullptr); });
 
   std::printf("\nbatched decode, %zu-sample coherent front x%d reps:\n"
-              "  scalar          %8.2f ms\n"
-              "  batch           %8.2f ms (%.2fx)\n"
-              "  batch no-dedup  %8.2f ms (%.2fx)\n",
-              points.size(), kReps, scalar_ms, dedup_ms,
-              scalar_ms / dedup_ms, nodedup_ms, scalar_ms / nodedup_ms);
+              "  scalar  %8.2f ms\n"
+              "  batch   %8.2f ms (%.2fx)\n",
+              points.size(), kReps, scalar_ms, batch_ms,
+              scalar_ms / batch_ms);
   json.Add("decode/scalar", scalar_ms, 1);
-  json.Add("decode/batch[dedup]", dedup_ms, 1);
-  json.Add("decode/batch[no-dedup]", nodedup_ms, 1);
-  json.Add("ratio/batch-vs-scalar[dedup]", scalar_ms / dedup_ms, 1);
-  json.Add("ratio/batch-vs-scalar[no-dedup]", scalar_ms / nodedup_ms, 1);
+  json.Add("decode/batch", batch_ms, 1);
+  json.Add("ratio/batch-vs-scalar", scalar_ms / batch_ms, 1);
 
   // Per-kernel SIMD-vs-scalar comparison: each kernel-bearing batch path
   // runs forced to the scalar reference and forced to the best
@@ -337,7 +330,6 @@ void WriteBatchedDecodeJson() {
   const auto [tri_s, tri_v] =
       timed_pair([&] { dense_src.SampleBatch(points, out, nullptr); });
 
-  src.SetBatchDedup(true);
   const auto [blend_s, blend_v] =
       timed_pair([&] { src.SampleBatch(points, out, nullptr); });
   SpNeRFFieldSource tiu_src(d.codec, /*fp16_tiu=*/true);

@@ -60,7 +60,7 @@ VoxelData SpNeRFModel::Decode(Vec3i position, bool bitmap_masking,
                               DecodeCounters* counters) const {
   DecodeClass cls;
   const VoxelData out = DecodeClassified(position, bitmap_masking, cls);
-  if (counters) counters->AddQueries(cls, 1);
+  if (counters) counters->AddQuery(cls);
   return out;
 }
 

@@ -37,9 +37,8 @@ struct SpNeRFParams {
 
 /// Outcome class of one vertex decode — which unit retired the query. A
 /// decode increments exactly one DecodeCounters bucket; batched decode paths
-/// record the class per unique vertex and replicate the counter increments
-/// per reference, so deduplicated lookups account identically to scalar
-/// ones.
+/// record the class per decoded vertex and count it with AddQuery, so they
+/// account identically to scalar Decode() calls.
 enum class DecodeClass : u8 {
   kBitmapZero = 0,  // out of range, or masked out by the bitmap
   kEmptySlot,       // hash slot never written
@@ -66,17 +65,16 @@ struct DecodeCounters {
     true_grid_hits += other.true_grid_hits;
   }
 
-  /// Accounts `n` decode queries that all retired with outcome `cls` — the
-  /// batched-decode equivalent of `n` scalar Decode() calls hitting the same
-  /// vertex. Integer adds, so replicated references reduce to exactly the
-  /// scalar totals in any order.
-  void AddQueries(DecodeClass cls, u64 n) {
-    queries += n;
+  /// Accounts one decode query that retired with outcome `cls` — what one
+  /// scalar Decode() call adds. Integer adds, so batched decodes reduce to
+  /// exactly the scalar totals in any order.
+  void AddQuery(DecodeClass cls) {
+    ++queries;
     switch (cls) {
-      case DecodeClass::kBitmapZero: bitmap_zero += n; break;
-      case DecodeClass::kEmptySlot: empty_slot += n; break;
-      case DecodeClass::kCodebook: codebook_hits += n; break;
-      case DecodeClass::kTrueGrid: true_grid_hits += n; break;
+      case DecodeClass::kBitmapZero: ++bitmap_zero; break;
+      case DecodeClass::kEmptySlot: ++empty_slot; break;
+      case DecodeClass::kCodebook: ++codebook_hits; break;
+      case DecodeClass::kTrueGrid: ++true_grid_hits; break;
     }
   }
 };
@@ -112,20 +110,17 @@ class SpNeRFModel {
                                  DecodeCounters* counters) const;
 
   /// Classified decode of one vertex: same payload bytes as Decode(), plus
-  /// the outcome class instead of counter side effects. The batched vertex
-  /// decode records the class per unique vertex so callers can replicate
-  /// DecodeCounters per reference (see DecodeCounters::AddQueries).
+  /// the outcome class instead of counter side effects, so a batched caller
+  /// can count each decode itself (see DecodeCounters::AddQuery).
   [[nodiscard]] VoxelData DecodeClassified(Vec3i position, bool bitmap_masking,
                                            DecodeClass& cls) const;
 
-  /// Batched vertex decode: the wavefront's decode stage. `positions` is the
-  /// deduplicated vertex list of one sample front (each shared corner of
-  /// adjacent samples appears once); every vertex runs bitmap -> hash ->
-  /// unified 18-bit dispatch exactly as a scalar Decode() would, writing its
-  /// payload to `out[i]` and its outcome class to `classes[i]`. Counters are
-  /// the caller's job: one AddQueries per (sample, corner) reference keeps
-  /// DecodeCounters bit-identical to the scalar path while the table is
-  /// touched only once per unique vertex.
+  /// Batched vertex decode: the wavefront's decode stage. `positions` holds
+  /// one entry per (sample, corner) reference of a sample front; every
+  /// vertex runs bitmap -> hash -> unified 18-bit dispatch exactly as a
+  /// scalar Decode() would, writing its payload to `out[i]` and its outcome
+  /// class to `classes[i]`. Counters are the caller's job: one AddQuery per
+  /// entry keeps DecodeCounters bit-identical to the scalar path.
   void DecodeBatch(std::span<const Vec3i> positions, bool bitmap_masking,
                    std::span<VoxelData> out,
                    std::span<DecodeClass> classes) const;

@@ -2,7 +2,6 @@
 
 #include <climits>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
@@ -191,10 +190,8 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
     AlignedVector<Vec3i> base;
     AlignedVector<Vec3f> frac;
     AlignedVector<u8> inside;
-    AlignedVector<u32> refs;  // 8 per sample: unique-vertex slot or kNoRef
-    std::unordered_map<u64, u32> vertex_slot;  // flattened index -> slot
-    std::vector<Vec3i> unique;
-    std::vector<u32> ref_count;  // per slot: (sample, corner) references
+    AlignedVector<u32> refs;  // 8 per sample: vertex slot or kNoRef
+    std::vector<Vec3i> vertices;  // one per decoded (sample, corner)
     AlignedVector<VoxelData> decoded;
     std::vector<DecodeClass> classes;
   };
@@ -204,16 +201,13 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
   s.frac.resize(n);
   s.inside.resize(n);
   s.refs.assign(n * 8, kNoRef);
-  s.vertex_slot.clear();
-  s.unique.clear();
-  s.ref_count.clear();
+  s.vertices.clear();
 
   const GridDims& dims = model_->Dims();
 
-  // Setup + dedup pass: register every corner the scalar path would decode
-  // (non-zero Eq. (2) weight, under the active arithmetic mode) against the
-  // unique-vertex list. Adjacent samples of a wavefront share corners, so
-  // the list is much shorter than 8N references.
+  // Setup pass: every corner the scalar path would decode (non-zero Eq. (2)
+  // weight, under the active arithmetic mode) gets its own vertex slot, in
+  // (sample, corner) order.
   for (std::size_t i = 0; i < n; ++i) {
     s.inside[i] =
         detail::SetupTrilinear(dims, positions[i], s.base[i], s.frac[i]) ? 1
@@ -233,43 +227,27 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
       if (skip) continue;
       const Vec3i v{base.x + (corner & 1), base.y + ((corner >> 1) & 1),
                     base.z + ((corner >> 2) & 1)};
-      u32 slot;
-      if (batch_dedup_) {
-        const auto [it, fresh] = s.vertex_slot.try_emplace(
-            dims.Flatten(v), static_cast<u32>(s.unique.size()));
-        slot = it->second;
-        if (fresh) {
-          s.unique.push_back(v);
-          s.ref_count.push_back(0);
-        }
-      } else {
-        slot = static_cast<u32>(s.unique.size());
-        s.unique.push_back(v);
-        s.ref_count.push_back(0);
-      }
-      ++s.ref_count[slot];
-      s.refs[i * 8 + static_cast<std::size_t>(corner)] = slot;
+      s.refs[i * 8 + static_cast<std::size_t>(corner)] =
+          static_cast<u32>(s.vertices.size());
+      s.vertices.push_back(v);
     }
   }
 
-  // Decode pass: each unique vertex runs bitmap/hash/18-bit lookup once;
-  // counters replicate per reference, so totals match scalar sampling
-  // exactly (integer adds commute).
-  s.decoded.resize(s.unique.size());
-  s.classes.resize(s.unique.size());
-  model_->DecodeBatch(s.unique, masking_, s.decoded, s.classes);
+  // Decode pass: bitmap/hash/18-bit lookup once per reference, exactly the
+  // scalar loop's Decode() calls, so counters count each one directly.
+  s.decoded.resize(s.vertices.size());
+  s.classes.resize(s.vertices.size());
+  model_->DecodeBatch(s.vertices, masking_, s.decoded, s.classes);
   if (counters) {
-    for (std::size_t k = 0; k < s.unique.size(); ++k) {
-      counters->AddQueries(s.classes[k], s.ref_count[k]);
-    }
+    for (const DecodeClass cls : s.classes) counters->AddQuery(cls);
   }
 
   // Blend pass, vectorised across samples when a SIMD kernel is active
-  // (32-bit gather indices: fall back to scalar if the unique-vertex table
+  // (32-bit gather indices: fall back to scalar if the decoded-vertex table
   // could overflow them — practically unreachable for wavefront fronts).
   if (const wavefront::KernelTable* kt = wavefront::Active();
       kt != nullptr && kt->spnerf_blend_fp32 != nullptr && n > 0 &&
-      s.unique.size() * (1 + kColorFeatureDim) <=
+      s.vertices.size() * (1 + kColorFeatureDim) <=
           static_cast<std::size_t>(INT_MAX)) {
     wavefront::SpnerfBlendArgs args;
     args.frac = s.frac.data();

@@ -42,8 +42,8 @@ class FieldSource {
   /// contract is bit-identity with the scalar path: `out[i]` must equal
   /// `Sample(positions[i], counters)` exactly (values AND counter activity),
   /// so a batched render is byte-for-byte the scalar render. The default is
-  /// the scalar loop; real sources override it with SoA implementations
-  /// (shared-vertex dedup, no per-sample virtual dispatch). Thread-safe like
+  /// the scalar loop; real sources override it with SoA implementations (no
+  /// per-sample virtual dispatch, vectorised blend passes). Thread-safe like
   /// the two-argument Sample: distinct counter shards may batch concurrently.
   virtual void SampleBatch(std::span<const Vec3f> positions,
                            std::span<FieldSample> out,
@@ -119,25 +119,16 @@ class SpNeRFFieldSource final : public FieldSource {
   [[nodiscard]] FieldSample Sample(Vec3f world,
                                    DecodeCounters* counters) const override;
   /// Batched vertex decode + blend, the paper's dataflow in software: the
-  /// setup pass computes bases/fractions, the dedup pass maps every
-  /// non-zero-weight corner of the front to a unique-vertex list (adjacent
-  /// samples share 4 of their 8 corners along a ray and across neighbouring
-  /// rays), one SpNeRFModel::DecodeBatch call decodes each unique vertex
-  /// once, and the blend pass re-applies the scalar corner loop against the
-  /// decoded table. DecodeCounters are replicated per (sample, corner)
-  /// reference from the per-vertex outcome class, so counters — like the
-  /// blended values — are bit-identical to scalar sampling while the hash
-  /// tables see a fraction of the lookups.
+  /// setup pass computes bases/fractions and gives every non-zero-weight
+  /// corner its own vertex slot in (sample, corner) order, one
+  /// SpNeRFModel::DecodeBatch call decodes each slot once — the scalar
+  /// loop's Decode() calls, batched — and the blend pass re-applies the
+  /// scalar corner loop against the decoded table. Counters count one query
+  /// per decoded slot, so they — like the blended values — are bit-identical
+  /// to scalar sampling.
   void SampleBatch(std::span<const Vec3f> positions,
                    std::span<FieldSample> out,
                    DecodeCounters* counters) const override;
-
-  /// Disables shared-corner deduplication in SampleBatch (every non-zero
-  /// weight corner decodes individually, as scalar sampling does). For
-  /// benchmarking the dedup win; results and counters are identical either
-  /// way.
-  void SetBatchDedup(bool dedup) { batch_dedup_ = dedup; }
-  [[nodiscard]] bool BatchDedup() const { return batch_dedup_; }
 
   [[nodiscard]] const char* Name() const override { return "spnerf"; }
 
@@ -145,7 +136,6 @@ class SpNeRFFieldSource final : public FieldSource {
   const SpNeRFModel* model_;
   bool fp16_tiu_;
   bool masking_;
-  bool batch_dedup_ = true;
 };
 
 namespace detail {

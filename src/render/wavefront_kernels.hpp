@@ -1,7 +1,7 @@
 // Vectorised wavefront kernels behind the runtime SIMD dispatch
 // (common/simd.hpp). Three kernels cover the decode→interpolate→MLP hot
 // path the wavefront renderer batches:
-//   * spnerf_blend_*   — the deduped corner-vertex blend of
+//   * spnerf_blend_*   — the decoded corner-vertex blend of
 //                        SpNeRFFieldSource::SampleBatch (fp32 + fp16 TIU);
 //   * grid_trilinear   — the dense-grid trilinear gather of
 //                        GridFieldSource::SampleBatch;
@@ -66,9 +66,9 @@ struct GridTrilinearArgs {
   std::size_t n = 0;
 };
 
-/// Inputs of the SpNeRF blend pass: the per-(sample,corner) unique-vertex
-/// reference table from the dedup pass and the decoded unique-vertex
-/// values. refs is sample-major, 8 per sample, kNoVertexRef = skipped.
+/// Inputs of the SpNeRF blend pass: the per-(sample,corner) reference table
+/// from the setup pass and the decoded vertex values it indexes. refs is
+/// sample-major, 8 per sample, kNoVertexRef = skipped.
 struct SpnerfBlendArgs {
   const Vec3f* frac = nullptr;
   const u8* inside = nullptr;

@@ -186,7 +186,7 @@ TEST_F(WavefrontTest, SpNeRFSourceBitIdentical) {
 
 TEST_F(WavefrontTest, SpNeRFFp16TiuBitIdentical) {
   // The TIU path rounds interpolation weights to binary16, including its
-  // own weight-flush skip test; the batched dedup must replicate it.
+  // own weight-flush skip test; the batched setup pass must replicate it.
   const SpNeRFFieldSource source(*codec_, /*fp16_tiu=*/true);
   RunDifferential(source);
 }
@@ -294,40 +294,86 @@ TEST_F(WavefrontTest, NoSkipStructureBitIdentical) {
   ExpectSameCounters(scalar.counters, wave.counters);
 }
 
-TEST_F(WavefrontTest, DedupOffMatchesDedupOn) {
-  SpNeRFFieldSource dedup(*codec_);
-  SpNeRFFieldSource no_dedup(*codec_);
-  no_dedup.SetBatchDedup(false);
-  const RenderResult a = RenderWith(dedup, true, false, 2);
-  const RenderResult b = RenderWith(no_dedup, true, false, 2);
-  ExpectSameImage(a.image, b.image);
-  ExpectSameStats(a.stats, b.stats);
-  ExpectSameCounters(a.counters, b.counters);
-}
-
 TEST_F(WavefrontTest, SampleBatchMatchesScalarSamples) {
-  // Unit-level contract: SampleBatch == a Sample loop, values and counters,
-  // for random (partly out-of-box) positions.
-  const SpNeRFFieldSource source(*codec_);
+  // Unit-level contract: SampleBatch == a Sample loop, values and all five
+  // counters, in both arithmetic modes with masking on and off. Besides
+  // random (partly out-of-box) positions, the points hold exact duplicates,
+  // a chain of consecutive lattice samples along one ray (shared base cells
+  // and corners), coordinates exactly 0 or 1 (clamped fractions give
+  // zero-weight corners), and points within 1e-4 grid units of a grid edge,
+  // where the binary16 weight product flushes to zero while the float
+  // product does not.
   Rng rng(3);
   std::vector<Vec3f> points;
   for (int i = 0; i < 500; ++i) {
     points.push_back({rng.Uniform(-0.1f, 1.1f), rng.Uniform(-0.1f, 1.1f),
                       rng.Uniform(-0.1f, 1.1f)});
   }
-  DecodeCounters scalar_counters, batch_counters;
-  std::vector<FieldSample> expected;
-  expected.reserve(points.size());
-  for (const Vec3f& p : points)
-    expected.push_back(source.Sample(p, &scalar_counters));
-  std::vector<FieldSample> got(points.size());
-  source.SampleBatch(points, got, &batch_counters);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(expected[i].density, got[i].density);
-    for (int c = 0; c < kColorFeatureDim; ++c)
-      EXPECT_EQ(expected[i].features[c], got[i].features[c]);
+  for (std::size_t i = 0; i < 500; i += 10) points.push_back(points[i]);
+
+  render_detail::LatticeMarch m;
+  m.ray = TestCamera().PixelRay(24, 24);
+  m.step = RenderOptions{}.step_size;
+  ASSERT_TRUE(IntersectAabb(m.ray, Aabb{{0.f, 0.f, 0.f}, {1.f, 1.f, 1.f}},
+                            m.t_near, m.t_far));
+  for (u32 k = 0; m.T(k) < m.t_far; ++k) points.push_back(m.Point(k));
+
+  for (const float plane : {0.f, 1.f}) {
+    for (int axis = 0; axis < 3; ++axis) {
+      for (int i = 0; i < 8; ++i) {
+        Vec3f p{rng.NextFloat(), rng.NextFloat(), rng.NextFloat()};
+        p[axis] = plane;
+        points.push_back(p);
+      }
+    }
   }
-  ExpectSameCounters(scalar_counters, batch_counters);
+  points.push_back({0.f, 0.f, 0.f});
+  points.push_back({1.f, 1.f, 1.f});
+
+  // Two coordinates a signed 1e-5..1e-4 grid units off an interior vertex
+  // plane, the third free: the point sits next to a grid edge.
+  const GridDims& dims = codec_->Dims();
+  const auto near_plane = [&rng](int n) {
+    const float offset = rng.Uniform(1e-5f, 1e-4f);
+    const float vertex = static_cast<float>(rng.UniformInt(1, n - 2));
+    return (vertex + (rng.NextFloat() < 0.5f ? -offset : offset)) /
+           static_cast<float>(n - 1);
+  };
+  for (int i = 0; i < 300; ++i) {
+    Vec3f p{near_plane(dims.nx), near_plane(dims.ny), near_plane(dims.nz)};
+    p[i % 3] = rng.NextFloat();
+    points.push_back(p);
+  }
+
+  for (const bool masking : {true, false}) {
+    u64 fp32_queries = 0;
+    for (const bool fp16_tiu : {false, true}) {
+      SCOPED_TRACE(std::string("masking=") + (masking ? "1" : "0") +
+                   " fp16_tiu=" + (fp16_tiu ? "1" : "0"));
+      SpNeRFFieldSource source(*codec_, fp16_tiu);
+      source.SetMasking(masking);
+      DecodeCounters scalar_counters, batch_counters;
+      std::vector<FieldSample> expected;
+      expected.reserve(points.size());
+      for (const Vec3f& p : points)
+        expected.push_back(source.Sample(p, &scalar_counters));
+      std::vector<FieldSample> got(points.size());
+      source.SampleBatch(points, got, &batch_counters);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(expected[i].density, got[i].density) << "sample " << i;
+        for (int c = 0; c < kColorFeatureDim; ++c)
+          EXPECT_EQ(expected[i].features[c], got[i].features[c])
+              << "sample " << i;
+      }
+      ExpectSameCounters(scalar_counters, batch_counters);
+      if (!fp16_tiu) {
+        fp32_queries = batch_counters.queries;
+      } else {
+        // The near-edge points really took the binary16 flush.
+        EXPECT_LT(batch_counters.queries, fp32_queries);
+      }
+    }
+  }
 }
 
 TEST_F(WavefrontTest, ForwardBatchMatchesForward) {
@@ -387,15 +433,11 @@ void ExpectSampleBatchPathsAgree(const FieldSource& source, std::size_t n,
 
 TEST_F(WavefrontTest, SimdSpnerfBlendBitIdentical) {
   for (const bool fp16_tiu : {false, true}) {
-    for (const bool dedup : {true, false}) {
-      SpNeRFFieldSource source(*codec_, fp16_tiu);
-      source.SetBatchDedup(dedup);
-      for (const std::size_t n : kTailSizes) {
-        SCOPED_TRACE(std::string("fp16_tiu=") + (fp16_tiu ? "1" : "0") +
-                     " dedup=" + (dedup ? "1" : "0") +
-                     " n=" + std::to_string(n));
-        ExpectSampleBatchPathsAgree(source, n, 17 + n, /*with_counters=*/true);
-      }
+    const SpNeRFFieldSource source(*codec_, fp16_tiu);
+    for (const std::size_t n : kTailSizes) {
+      SCOPED_TRACE(std::string("fp16_tiu=") + (fp16_tiu ? "1" : "0") +
+                   " n=" + std::to_string(n));
+      ExpectSampleBatchPathsAgree(source, n, 17 + n, /*with_counters=*/true);
     }
   }
 }
