@@ -299,12 +299,14 @@ void WriteBatchedDecodeJson() {
   json.Add("ratio/batch-vs-scalar", scalar_ms / batch_ms, 1);
 
   // Per-kernel SIMD-vs-scalar comparison: each kernel-bearing batch path
-  // runs forced to the scalar reference and forced to the best
+  // runs forced to its one scalar implementation and forced to the best
   // host-supported vector path, and the throughput ratio lands in the
   // trajectory under a path-tagged name (e.g.
-  // "ratio/forward-batch-avx2-vs-scalar"). On a scalar-only host the best
-  // path IS scalar, so the entries still record (ratios ~1) and the name
-  // says why.
+  // "ratio/forward-batch-avx2-vs-scalar"). Forced scalar, the field-source
+  // "*[scalar]" entries time the Sample loop (the whole batch call, setup
+  // and decode included) and the MLP entries the blocked scalar product.
+  // On a scalar-only host the best path IS scalar, so the entries still
+  // record (ratios ~1) and the name says why.
   const simd::Path saved_path = simd::ActivePath();
   const simd::Path vec_path = simd::BestSupportedPath();
   const std::string tag = simd::PathName(vec_path);

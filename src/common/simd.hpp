@@ -2,11 +2,13 @@
 // for the vectorised wavefront kernels (see render/wavefront_kernels.hpp).
 //
 // Design:
-//   * Every kernel ships a scalar reference first — the in-tree loops in
-//     mlp.cpp / field_source.cpp — and the SIMD paths are required to be
-//     BIT-identical to it. Vectorisation is across the sample (lane)
-//     dimension, so each sample's accumulation chain keeps the exact
-//     scalar op order: no FMA contraction, no reassociation.
+//   * Every kernel has one scalar implementation — the field sources'
+//     Sample functions and Mlp's blocked ForwardScalar/ForwardFp16Scalar —
+//     which its batch entry point runs whenever no kernel is active, and
+//     the SIMD paths are required to be BIT-identical to it. Vectorisation
+//     is across the sample (lane) dimension, so each sample's accumulation
+//     chain keeps the exact scalar op order: no FMA contraction, no
+//     reassociation.
 //   * The dispatch path is process-global, resolved once from the
 //     SPNF_SIMD environment variable ("scalar" | "avx2" | "neon"); absent
 //     or unparseable values resolve to the best host-supported path. A

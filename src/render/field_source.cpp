@@ -27,20 +27,6 @@ FieldSample AnalyticFieldSource::Sample(Vec3f world) const {
   return s;
 }
 
-void AnalyticFieldSource::SampleBatch(std::span<const Vec3f> positions,
-                                      std::span<FieldSample> out,
-                                      DecodeCounters* counters) const {
-  SPNERF_CHECK_MSG(out.size() == positions.size(),
-                   "SampleBatch span sizes must match");
-  (void)counters;  // no decode stage
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    FieldSample s;
-    s.density = scene_->Density(positions[i]);
-    if (s.density > 0.0f) s.features = scene_->ColorFeature(positions[i]);
-    out[i] = s;
-  }
-}
-
 FieldSample GridFieldSource::Sample(Vec3f world) const {
   FieldSample out;
   Vec3i base;
@@ -67,9 +53,17 @@ FieldSample GridFieldSource::Sample(Vec3f world) const {
 void GridFieldSource::SampleBatch(std::span<const Vec3f> positions,
                                   std::span<FieldSample> out,
                                   DecodeCounters* counters) const {
+  // The kernel gathers with 32-bit indices, so a grid whose flattened
+  // feature index could overflow i32 takes the Sample loop too.
+  const wavefront::KernelTable* kt = wavefront::Active();
+  const GridDims& dims = grid_->Dims();
+  if (kt == nullptr ||
+      dims.VoxelCount() * kColorFeatureDim > static_cast<u64>(INT_MAX)) {
+    FieldSource::SampleBatch(positions, out, counters);
+    return;
+  }
   SPNERF_CHECK_MSG(out.size() == positions.size(),
                    "SampleBatch span sizes must match");
-  (void)counters;  // no decode stage
   struct Scratch {
     AlignedVector<Vec3i> base;
     AlignedVector<Vec3f> frac;
@@ -80,57 +74,22 @@ void GridFieldSource::SampleBatch(std::span<const Vec3f> positions,
   s.base.resize(n);
   s.frac.resize(n);
   s.inside.resize(n);
-
-  const GridDims& dims = grid_->Dims();
   for (std::size_t i = 0; i < n; ++i) {
     s.inside[i] =
         detail::SetupTrilinear(dims, positions[i], s.base[i], s.frac[i]) ? 1
                                                                          : 0;
   }
-  // Gather pass, vectorised across samples when a SIMD kernel is active.
-  // The kernels use 32-bit gather indices, so oversized grids (flattened
-  // feature index would overflow i32) take the scalar loop below instead.
-  if (const wavefront::KernelTable* kt = wavefront::Active();
-      kt != nullptr && kt->grid_trilinear != nullptr && n > 0 &&
-      dims.VoxelCount() * kColorFeatureDim <= static_cast<u64>(INT_MAX)) {
-    wavefront::GridTrilinearArgs args;
-    args.base = s.base.data();
-    args.frac = s.frac.data();
-    args.inside = s.inside.data();
-    args.density = grid_->DensityRaw().data();
-    args.features = grid_->FeaturesRaw().data();
-    args.ny = dims.ny;
-    args.nz = dims.nz;
-    args.out = out.data();
-    args.n = n;
-    kt->grid_trilinear(args);
-    return;
-  }
-  // Scalar reference gather pass (also the SIMD bit-exactness oracle): the
-  // scalar corner loop per sample, against precomputed bases/fractions.
-  // Identical corner enumeration and accumulation order keep every sample
-  // bit-identical to Sample().
-  for (std::size_t i = 0; i < n; ++i) {
-    FieldSample acc;
-    if (s.inside[i]) {
-      const Vec3i base = s.base[i];
-      const Vec3f frac = s.frac[i];
-      for (int corner = 0; corner < 8; ++corner) {
-        const Vec3i v{base.x + (corner & 1), base.y + ((corner >> 1) & 1),
-                      base.z + ((corner >> 2) & 1)};
-        const float wx = (corner & 1) ? frac.x : 1.0f - frac.x;
-        const float wy = ((corner >> 1) & 1) ? frac.y : 1.0f - frac.y;
-        const float wz = ((corner >> 2) & 1) ? frac.z : 1.0f - frac.z;
-        const float w = wx * wy * wz;
-        if (w == 0.0f) continue;
-        const VoxelIndex idx = dims.Flatten(v);
-        acc.density += w * grid_->Density(idx);
-        const float* f = grid_->Features(idx);
-        for (int c = 0; c < kColorFeatureDim; ++c) acc.features[c] += w * f[c];
-      }
-    }
-    out[i] = acc;
-  }
+  wavefront::GridTrilinearArgs args;
+  args.base = s.base.data();
+  args.frac = s.frac.data();
+  args.inside = s.inside.data();
+  args.density = grid_->DensityRaw().data();
+  args.features = grid_->FeaturesRaw().data();
+  args.ny = dims.ny;
+  args.nz = dims.nz;
+  args.out = out.data();
+  args.n = n;
+  kt->grid_trilinear(args);
 }
 
 FieldSample SpNeRFFieldSource::Sample(Vec3f world,
@@ -183,6 +142,16 @@ FieldSample SpNeRFFieldSource::Sample(Vec3f world,
 void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
                                     std::span<FieldSample> out,
                                     DecodeCounters* counters) const {
+  // The blend kernels gather the decoded table with 32-bit indices. A
+  // sample decodes at most 8 corners, so a front whose table could overflow
+  // them takes the Sample loop too.
+  const wavefront::KernelTable* kt = wavefront::Active();
+  const std::size_t n = positions.size();
+  if (kt == nullptr ||
+      n * 8 * (1 + kColorFeatureDim) > static_cast<std::size_t>(INT_MAX)) {
+    FieldSource::SampleBatch(positions, out, counters);
+    return;
+  }
   SPNERF_CHECK_MSG(out.size() == positions.size(),
                    "SampleBatch span sizes must match");
   constexpr u32 kNoRef = wavefront::kNoVertexRef;
@@ -196,7 +165,6 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
     std::vector<DecodeClass> classes;
   };
   thread_local Scratch s;
-  const std::size_t n = positions.size();
   s.base.resize(n);
   s.frac.resize(n);
   s.inside.resize(n);
@@ -205,7 +173,7 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
 
   const GridDims& dims = model_->Dims();
 
-  // Setup pass: every corner the scalar path would decode (non-zero Eq. (2)
+  // Setup pass: every corner Sample() would decode (non-zero Eq. (2)
   // weight, under the active arithmetic mode) gets its own vertex slot, in
   // (sample, corner) order.
   for (std::size_t i = 0; i < n; ++i) {
@@ -219,7 +187,7 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
       const float wx = (corner & 1) ? frac.x : 1.0f - frac.x;
       const float wy = ((corner >> 1) & 1) ? frac.y : 1.0f - frac.y;
       const float wz = ((corner >> 2) & 1) ? frac.z : 1.0f - frac.z;
-      // Replicate the scalar skip test exactly: float product for the FP32
+      // Replicate Sample()'s skip test exactly: float product for the FP32
       // path, binary16 product for the TIU path (which may flush where the
       // float product is tiny-but-non-zero).
       const bool skip = fp16_tiu_ ? (Half(wx) * Half(wy) * Half(wz)).IsZero()
@@ -233,8 +201,8 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
     }
   }
 
-  // Decode pass: bitmap/hash/18-bit lookup once per reference, exactly the
-  // scalar loop's Decode() calls, so counters count each one directly.
+  // Decode pass: bitmap/hash/18-bit lookup once per reference, exactly
+  // Sample()'s Decode() calls, so counters count each one directly.
   s.decoded.resize(s.vertices.size());
   s.classes.resize(s.vertices.size());
   model_->DecodeBatch(s.vertices, masking_, s.decoded, s.classes);
@@ -242,66 +210,15 @@ void SpNeRFFieldSource::SampleBatch(std::span<const Vec3f> positions,
     for (const DecodeClass cls : s.classes) counters->AddQuery(cls);
   }
 
-  // Blend pass, vectorised across samples when a SIMD kernel is active
-  // (32-bit gather indices: fall back to scalar if the decoded-vertex table
-  // could overflow them — practically unreachable for wavefront fronts).
-  if (const wavefront::KernelTable* kt = wavefront::Active();
-      kt != nullptr && kt->spnerf_blend_fp32 != nullptr && n > 0 &&
-      s.vertices.size() * (1 + kColorFeatureDim) <=
-          static_cast<std::size_t>(INT_MAX)) {
-    wavefront::SpnerfBlendArgs args;
-    args.frac = s.frac.data();
-    args.inside = s.inside.data();
-    args.refs = s.refs.data();
-    args.decoded = s.decoded.data();
-    args.out = out.data();
-    args.n = n;
-    (fp16_tiu_ ? kt->spnerf_blend_fp16 : kt->spnerf_blend_fp32)(args);
-    return;
-  }
-
-  // Scalar reference blend pass (also the SIMD bit-exactness oracle): the
-  // scalar corner loop per sample against the decoded table — same corner
-  // order, same accumulation order, same arithmetic mode, hence
-  // bit-identical blended samples.
-  for (std::size_t i = 0; i < n; ++i) {
-    FieldSample acc;
-    if (s.inside[i]) {
-      const Vec3f frac = s.frac[i];
-      const u32* refs = &s.refs[i * 8];
-      if (!fp16_tiu_) {
-        for (int corner = 0; corner < 8; ++corner) {
-          if (refs[corner] == kNoRef) continue;
-          const float wx = (corner & 1) ? frac.x : 1.0f - frac.x;
-          const float wy = ((corner >> 1) & 1) ? frac.y : 1.0f - frac.y;
-          const float wz = ((corner >> 2) & 1) ? frac.z : 1.0f - frac.z;
-          const float w = wx * wy * wz;
-          const VoxelData& d = s.decoded[refs[corner]];
-          acc.density += w * d.density;
-          for (int c = 0; c < kColorFeatureDim; ++c)
-            acc.features[c] += w * d.features[c];
-        }
-      } else {
-        Half density_acc(0.0f);
-        Half feat_acc[kColorFeatureDim] = {};
-        for (int corner = 0; corner < 8; ++corner) {
-          if (refs[corner] == kNoRef) continue;
-          const Half wx((corner & 1) ? frac.x : 1.0f - frac.x);
-          const Half wy(((corner >> 1) & 1) ? frac.y : 1.0f - frac.y);
-          const Half wz(((corner >> 2) & 1) ? frac.z : 1.0f - frac.z);
-          const Half w = wx * wy * wz;
-          const VoxelData& d = s.decoded[refs[corner]];
-          density_acc = Half::Fma(w, Half(d.density), density_acc);
-          for (int c = 0; c < kColorFeatureDim; ++c)
-            feat_acc[c] = Half::Fma(w, Half(d.features[c]), feat_acc[c]);
-        }
-        acc.density = density_acc.ToFloat();
-        for (int c = 0; c < kColorFeatureDim; ++c)
-          acc.features[c] = feat_acc[c].ToFloat();
-      }
-    }
-    out[i] = acc;
-  }
+  // Blend pass: Sample()'s corner loop, vectorised across samples.
+  wavefront::SpnerfBlendArgs args;
+  args.frac = s.frac.data();
+  args.inside = s.inside.data();
+  args.refs = s.refs.data();
+  args.decoded = s.decoded.data();
+  args.out = out.data();
+  args.n = n;
+  (fp16_tiu_ ? kt->spnerf_blend_fp16 : kt->spnerf_blend_fp32)(args);
 }
 
 }  // namespace spnerf

@@ -39,12 +39,13 @@ class FieldSource {
   }
   /// Batched sampling: decodes `positions.size()` world positions into `out`
   /// in one call — the wavefront renderer's decode+interpolate stage. The
-  /// contract is bit-identity with the scalar path: `out[i]` must equal
+  /// contract is bit-identity with Sample: `out[i]` must equal
   /// `Sample(positions[i], counters)` exactly (values AND counter activity),
-  /// so a batched render is byte-for-byte the scalar render. The default is
-  /// the scalar loop; real sources override it with SoA implementations (no
-  /// per-sample virtual dispatch, vectorised blend passes). Thread-safe like
-  /// the two-argument Sample: distinct counter shards may batch concurrently.
+  /// so a batched render is byte-for-byte the scalar render. This default,
+  /// the Sample loop, is every source's scalar implementation; an override
+  /// only adds a vectorised path and falls back to this loop when no SIMD
+  /// kernel is active. Thread-safe like the two-argument Sample: distinct
+  /// counter shards may batch concurrently.
   virtual void SampleBatch(std::span<const Vec3f> positions,
                            std::span<FieldSample> out,
                            DecodeCounters* counters) const;
@@ -57,11 +58,6 @@ class AnalyticFieldSource final : public FieldSource {
   explicit AnalyticFieldSource(const Scene& scene) : scene_(&scene) {}
   using FieldSource::Sample;  // keep the counter-aware overload visible
   [[nodiscard]] FieldSample Sample(Vec3f world) const override;
-  /// Batched evaluation of the analytic fields (no decode stage; one devirt
-  /// call for the whole front instead of one per sample).
-  void SampleBatch(std::span<const Vec3f> positions,
-                   std::span<FieldSample> out,
-                   DecodeCounters* counters) const override;
   [[nodiscard]] const char* Name() const override { return "analytic"; }
 
  private:
@@ -76,10 +72,10 @@ class GridFieldSource final : public FieldSource {
   explicit GridFieldSource(const DenseGrid& grid) : grid_(&grid) {}
   using FieldSource::Sample;  // keep the counter-aware overload visible
   [[nodiscard]] FieldSample Sample(Vec3f world) const override;
-  /// Batched trilinear gather: a setup pass computes every sample's base
-  /// vertex and Eq. (2) weights into SoA scratch, then one gather pass walks
-  /// the grid — per-sample arithmetic (corner order, accumulation order) is
-  /// exactly the scalar body's, so results are bit-identical.
+  /// With a SIMD kernel active, a setup pass computes every sample's base
+  /// vertex and fractions into SoA scratch and the grid_trilinear kernel
+  /// gathers the grid with Sample's corner and accumulation order, so
+  /// results are bit-identical. Otherwise it is the Sample loop.
   void SampleBatch(std::span<const Vec3f> positions,
                    std::span<FieldSample> out,
                    DecodeCounters* counters) const override;
@@ -118,14 +114,14 @@ class SpNeRFFieldSource final : public FieldSource {
   }
   [[nodiscard]] FieldSample Sample(Vec3f world,
                                    DecodeCounters* counters) const override;
-  /// Batched vertex decode + blend, the paper's dataflow in software: the
-  /// setup pass computes bases/fractions and gives every non-zero-weight
-  /// corner its own vertex slot in (sample, corner) order, one
-  /// SpNeRFModel::DecodeBatch call decodes each slot once — the scalar
-  /// loop's Decode() calls, batched — and the blend pass re-applies the
-  /// scalar corner loop against the decoded table. Counters count one query
-  /// per decoded slot, so they — like the blended values — are bit-identical
-  /// to scalar sampling.
+  /// With a SIMD kernel active, the paper's dataflow in software: the setup
+  /// pass computes bases/fractions and gives every non-zero-weight corner
+  /// its own vertex slot in (sample, corner) order, one
+  /// SpNeRFModel::DecodeBatch call decodes each slot once — Sample's
+  /// Decode() calls, batched — and a spnerf_blend kernel applies Sample's
+  /// corner loop against the decoded table. Counters count one query per
+  /// decoded slot, so they — like the blended values — are bit-identical to
+  /// Sample. Otherwise it is the Sample loop.
   void SampleBatch(std::span<const Vec3f> positions,
                    std::span<FieldSample> out,
                    DecodeCounters* counters) const override;

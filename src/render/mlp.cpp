@@ -17,6 +17,11 @@ void InitXavier(std::vector<float>& w, int fan_in, int fan_out, Rng& rng) {
 
 float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
+// Samples shaded together by the scalar forward passes, sized so both
+// hidden activations (2 x kBlock x 128 floats = 32 KiB) stay L1/L2-resident
+// while each weight row is reused kBlock times.
+constexpr std::size_t kBlock = 32;
+
 }  // namespace
 
 Mlp Mlp::Random(u64 seed) {
@@ -30,83 +35,27 @@ Mlp Mlp::Random(u64 seed) {
     mlp.b_[layer].assign(static_cast<std::size_t>(dims[layer + 1]), 0.0f);
     InitXavier(mlp.w_[layer], dims[layer], dims[layer + 1], rng);
     for (float& b : mlp.b_[layer]) b = rng.Uniform(-0.05f, 0.05f);
+    for (const float w : mlp.w_[layer]) {
+      mlp.wq_[layer].push_back(Half(w).ToFloat());
+    }
+    for (const float b : mlp.b_[layer]) {
+      mlp.bq_[layer].push_back(Half(b).ToFloat());
+    }
   }
-  mlp.PackHalfWeights();
   return mlp;
-}
-
-void Mlp::PackHalfWeights() {
-  for (int layer = 0; layer < 3; ++layer) {
-    wh_[layer].resize(w_[layer].size());
-    bh_[layer].resize(b_[layer].size());
-    for (std::size_t k = 0; k < w_[layer].size(); ++k) {
-      wh_[layer][k] = Half(w_[layer][k]).bits();
-    }
-    for (std::size_t k = 0; k < b_[layer].size(); ++k) {
-      bh_[layer][k] = Half(b_[layer][k]).bits();
-    }
-  }
 }
 
 Vec3f Mlp::Forward(const std::array<float, kMlpInputDim>& in) const {
   SPNERF_CHECK_MSG(!w_[0].empty(), "MLP is uninitialised");
-  float h1[kMlpHiddenDim];
-  for (int o = 0; o < kMlpHiddenDim; ++o) {
-    float acc = b_[0][static_cast<std::size_t>(o)];
-    const float* row = &w_[0][static_cast<std::size_t>(o) * kMlpInputDim];
-    for (int i = 0; i < kMlpInputDim; ++i) acc += row[i] * in[static_cast<std::size_t>(i)];
-    h1[o] = acc > 0.0f ? acc : 0.0f;
-  }
-  float h2[kMlpHiddenDim];
-  for (int o = 0; o < kMlpHiddenDim; ++o) {
-    float acc = b_[1][static_cast<std::size_t>(o)];
-    const float* row = &w_[1][static_cast<std::size_t>(o) * kMlpHiddenDim];
-    for (int i = 0; i < kMlpHiddenDim; ++i) acc += row[i] * h1[i];
-    h2[o] = acc > 0.0f ? acc : 0.0f;
-  }
   Vec3f rgb;
-  for (int o = 0; o < kMlpOutputDim; ++o) {
-    float acc = b_[2][static_cast<std::size_t>(o)];
-    const float* row = &w_[2][static_cast<std::size_t>(o) * kMlpHiddenDim];
-    for (int i = 0; i < kMlpHiddenDim; ++i) acc += row[i] * h2[i];
-    rgb[o] = Sigmoid(acc);
-  }
+  ForwardScalar({&in, 1}, {&rgb, 1});
   return rgb;
 }
 
 Vec3f Mlp::ForwardFp16(const std::array<float, kMlpInputDim>& in) const {
   SPNERF_CHECK_MSG(!w_[0].empty(), "MLP is uninitialised");
-  // Inputs, weights and every accumulation step are rounded to binary16,
-  // matching an FP16 output-stationary MAC array.
-  float h1[kMlpHiddenDim];
-  for (int o = 0; o < kMlpHiddenDim; ++o) {
-    Half acc(b_[0][static_cast<std::size_t>(o)]);
-    const float* row = &w_[0][static_cast<std::size_t>(o) * kMlpInputDim];
-    for (int i = 0; i < kMlpInputDim; ++i) {
-      acc = Half::Fma(Half(row[i]), Half(in[static_cast<std::size_t>(i)]), acc);
-    }
-    const float a = acc.ToFloat();
-    h1[o] = a > 0.0f ? a : 0.0f;
-  }
-  float h2[kMlpHiddenDim];
-  for (int o = 0; o < kMlpHiddenDim; ++o) {
-    Half acc(b_[1][static_cast<std::size_t>(o)]);
-    const float* row = &w_[1][static_cast<std::size_t>(o) * kMlpHiddenDim];
-    for (int i = 0; i < kMlpHiddenDim; ++i) {
-      acc = Half::Fma(Half(row[i]), Half(h1[i]), acc);
-    }
-    const float a = acc.ToFloat();
-    h2[o] = a > 0.0f ? a : 0.0f;
-  }
   Vec3f rgb;
-  for (int o = 0; o < kMlpOutputDim; ++o) {
-    Half acc(b_[2][static_cast<std::size_t>(o)]);
-    const float* row = &w_[2][static_cast<std::size_t>(o) * kMlpHiddenDim];
-    for (int i = 0; i < kMlpHiddenDim; ++i) {
-      acc = Half::Fma(Half(row[i]), Half(h2[i]), acc);
-    }
-    rgb[o] = Sigmoid(acc.ToFloat());
-  }
+  ForwardFp16Scalar({&in, 1}, {&rgb, 1});
   return rgb;
 }
 
@@ -116,24 +65,46 @@ void Mlp::ForwardBatch(std::span<const std::array<float, kMlpInputDim>> in,
                    "ForwardBatch span sizes must match");
   if (in.empty()) return;  // an empty front never touches the weights
   SPNERF_CHECK_MSG(!w_[0].empty(), "MLP is uninitialised");
-  if (const wavefront::KernelTable* kt = wavefront::Active();
-      kt != nullptr && kt->mlp_forward_fp32 != nullptr) {
-    wavefront::MlpBatchArgs args;
-    for (int layer = 0; layer < 3; ++layer) {
-      args.weights.w[layer] = w_[layer].data();
-      args.weights.b[layer] = b_[layer].data();
-    }
-    args.in = in.data();
-    args.out = out.data();
-    args.n = in.size();
-    kt->mlp_forward_fp32(args);
+  const wavefront::KernelTable* kt = wavefront::Active();
+  if (kt == nullptr) {
+    ForwardScalar(in, out);
     return;
   }
-  // Scalar reference (also the bit-exactness oracle for the SIMD kernels).
-  // Block of samples shaded together: sized so both hidden activations
-  // (2 x kBlock x 128 floats = 32 KiB) stay L1/L2-resident while each
-  // weight row is reused kBlock times.
-  constexpr std::size_t kBlock = 32;
+  wavefront::MlpBatchArgs args;
+  for (int layer = 0; layer < 3; ++layer) {
+    args.weights.w[layer] = w_[layer].data();
+    args.weights.b[layer] = b_[layer].data();
+  }
+  args.in = in.data();
+  args.out = out.data();
+  args.n = in.size();
+  kt->mlp_forward_fp32(args);
+}
+
+void Mlp::ForwardFp16Batch(std::span<const std::array<float, kMlpInputDim>> in,
+                           std::span<Vec3f> out) const {
+  SPNERF_CHECK_MSG(out.size() == in.size(),
+                   "ForwardBatch span sizes must match");
+  if (in.empty()) return;  // an empty front never touches the weights
+  SPNERF_CHECK_MSG(!w_[0].empty(), "MLP is uninitialised");
+  const wavefront::KernelTable* kt = wavefront::Active();
+  if (kt == nullptr) {
+    ForwardFp16Scalar(in, out);
+    return;
+  }
+  wavefront::MlpBatchArgs args;
+  for (int layer = 0; layer < 3; ++layer) {
+    args.weights.wq[layer] = wq_[layer].data();
+    args.weights.bq[layer] = bq_[layer].data();
+  }
+  args.in = in.data();
+  args.out = out.data();
+  args.n = in.size();
+  kt->mlp_forward_fp16(args);
+}
+
+void Mlp::ForwardScalar(std::span<const std::array<float, kMlpInputDim>> in,
+                        std::span<Vec3f> out) const {
   float h1[kBlock][kMlpHiddenDim];
   float h2[kBlock][kMlpHiddenDim];
   for (std::size_t b0 = 0; b0 < in.size(); b0 += kBlock) {
@@ -169,28 +140,9 @@ void Mlp::ForwardBatch(std::span<const std::array<float, kMlpInputDim>> in,
   }
 }
 
-void Mlp::ForwardFp16Batch(std::span<const std::array<float, kMlpInputDim>> in,
-                           std::span<Vec3f> out) const {
-  SPNERF_CHECK_MSG(out.size() == in.size(),
-                   "ForwardBatch span sizes must match");
-  if (in.empty()) return;  // an empty front never touches the weights
-  SPNERF_CHECK_MSG(!w_[0].empty(), "MLP is uninitialised");
-  if (const wavefront::KernelTable* kt = wavefront::Active();
-      kt != nullptr && kt->mlp_forward_fp16 != nullptr && !wh_[0].empty()) {
-    wavefront::MlpBatchArgs args;
-    for (int layer = 0; layer < 3; ++layer) {
-      args.weights.w[layer] = w_[layer].data();
-      args.weights.b[layer] = b_[layer].data();
-      args.weights.wh[layer] = wh_[layer].data();
-      args.weights.bh[layer] = bh_[layer].data();
-    }
-    args.in = in.data();
-    args.out = out.data();
-    args.n = in.size();
-    kt->mlp_forward_fp16(args);
-    return;
-  }
-  constexpr std::size_t kBlock = 32;
+void Mlp::ForwardFp16Scalar(
+    std::span<const std::array<float, kMlpInputDim>> in,
+    std::span<Vec3f> out) const {
   float h1[kBlock][kMlpHiddenDim];
   float h2[kBlock][kMlpHiddenDim];
   for (std::size_t b0 = 0; b0 < in.size(); b0 += kBlock) {
@@ -242,16 +194,6 @@ const std::vector<float>& Mlp::W(int layer) const {
 const std::vector<float>& Mlp::B(int layer) const {
   SPNERF_CHECK(layer >= 0 && layer < 3);
   return b_[layer];
-}
-
-const u16* Mlp::PackedHalfW(int layer) const {
-  SPNERF_CHECK(layer >= 0 && layer < 3);
-  return wh_[layer].data();
-}
-
-const u16* Mlp::PackedHalfB(int layer) const {
-  SPNERF_CHECK(layer >= 0 && layer < 3);
-  return bh_[layer].data();
 }
 
 }  // namespace spnerf

@@ -9,7 +9,6 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "common/vec.hpp"
@@ -23,7 +22,8 @@ class Mlp {
   /// Xavier-uniform initialisation from a seed.
   static Mlp Random(u64 seed);
 
-  /// Forward pass for one 39-d input; returns RGB in [0,1].
+  /// Forward pass for one 39-d input; returns RGB in [0,1]. Runs the
+  /// scalar implementation on one sample.
   [[nodiscard]] Vec3f Forward(const std::array<float, kMlpInputDim>& in) const;
 
   /// Forward pass with every intermediate rounded to FP16 — bit-faithful to
@@ -32,12 +32,8 @@ class Mlp {
   [[nodiscard]] Vec3f ForwardFp16(
       const std::array<float, kMlpInputDim>& in) const;
 
-  /// Batched forward pass: shades `in.size()` inputs as a blocked matrix
-  /// product — each weight row streams across a block of samples while it is
-  /// hot in cache, the software analogue of the systolic array's
-  /// weight-stationary reuse. The per-sample accumulation chain (bias first,
-  /// then inputs in index order) is exactly Forward()'s, so `out[i]` is
-  /// bit-identical to `Forward(in[i])`.
+  /// Batched forward pass: the active SIMD kernel, else the scalar
+  /// implementation. `out[i]` is bit-identical to `Forward(in[i])`.
   void ForwardBatch(std::span<const std::array<float, kMlpInputDim>> in,
                     std::span<Vec3f> out) const;
 
@@ -69,21 +65,25 @@ class Mlp {
   [[nodiscard]] const std::vector<float>& W(int layer) const;
   [[nodiscard]] const std::vector<float>& B(int layer) const;
 
-  // Packed-binary16 copies of W/B (bits of Half(w)), same row-major layout.
-  // Pre-packed at initialisation so the vectorised FP16 kernels gather
-  // half bits directly; Half::FromBits(PackedHalfW(l)[k]) ==
-  // Half(W(l)[k]) exactly, which is the quantisation ForwardFp16 applies
-  // on the fly. 64-byte aligned for SIMD loads.
-  [[nodiscard]] const u16* PackedHalfW(int layer) const;
-  [[nodiscard]] const u16* PackedHalfB(int layer) const;
-
  private:
-  void PackHalfWeights();
+  // The one scalar implementation of each forward pass, which every SIMD
+  // kernel must match bit for bit. It is a blocked matrix product: each
+  // weight row streams across a block of samples while it is hot in cache,
+  // the software analogue of the systolic array's weight-stationary reuse.
+  // Blocking leaves each sample's accumulation chain (bias first, then
+  // inputs in index order) unchanged, and makes forced-scalar frames ~1.1x
+  // faster than a per-sample loop.
+  void ForwardScalar(std::span<const std::array<float, kMlpInputDim>> in,
+                     std::span<Vec3f> out) const;
+  void ForwardFp16Scalar(std::span<const std::array<float, kMlpInputDim>> in,
+                         std::span<Vec3f> out) const;
 
   std::vector<float> w_[3];
   std::vector<float> b_[3];
-  AlignedVector<u16> wh_[3];
-  AlignedVector<u16> bh_[3];
+  // Half(w).ToFloat() of every weight and bias: the binary16 values the
+  // fp16 kernels multiply by, rounded once at initialisation.
+  std::vector<float> wq_[3];
+  std::vector<float> bq_[3];
 };
 
 }  // namespace spnerf

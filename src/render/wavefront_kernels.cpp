@@ -5,9 +5,9 @@ namespace spnerf::wavefront {
 const KernelTable* ForPath(simd::Path path) {
   switch (path) {
     case simd::Path::kScalar:
-      // The scalar reference lives inline at the call sites (mlp.cpp,
-      // field_source.cpp) so it can never rot independently of the oracle
-      // the differential tests compare against.
+      // No table: each batch entry point runs its one scalar
+      // implementation, the same code the differential tests compare the
+      // kernels against.
       return nullptr;
     case simd::Path::kAvx2:
       return Avx2Table();

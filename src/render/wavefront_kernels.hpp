@@ -8,14 +8,16 @@
 //   * mlp_forward_*    — the blocked Mlp::ForwardBatch / ForwardFp16Batch
 //                        GEMM (fp32 + packed-binary16 activations).
 //
-// Contract: every kernel is BIT-identical to the scalar reference loop it
-// replaces (the loops stay in mlp.cpp / field_source.cpp as the oracle).
-// Vectorisation is across the sample/lane dimension only, so each sample's
-// accumulation chain keeps the exact scalar op order — no FMA contraction,
-// no reassociation. The generic implementations live in
-// wavefront_kernels_impl.inl and are instantiated once per ISA
-// (wavefront_kernels_{avx2,neon}.cpp) against the lane-ops wrappers in
-// common/simd_lanes_*.hpp.
+// Contract: every kernel is BIT-identical to its one scalar
+// implementation, which its batch entry point runs when no kernel is
+// active: the Sample loop for the field sources (GridFieldSource::Sample,
+// SpNeRFFieldSource::Sample), Mlp's private blocked ForwardScalar /
+// ForwardFp16Scalar for the MLP. Vectorisation is across the sample/lane
+// dimension only, so each sample's accumulation chain keeps the exact
+// scalar op order — no FMA contraction, no reassociation. The generic
+// implementations live in wavefront_kernels_impl.inl and are instantiated
+// once per ISA (wavefront_kernels_{avx2,neon}.cpp) against the lane-ops
+// wrappers in common/simd_lanes_*.hpp.
 #pragma once
 
 #include <array>
@@ -33,14 +35,14 @@ namespace spnerf::wavefront {
 /// (zero or flushed interpolation weight, or sample outside the volume).
 inline constexpr u32 kNoVertexRef = 0xffffffffu;
 
-/// Row-major MLP parameters. The fp16 kernels consume the packed binary16
-/// copies (wh/bh), which round-trip through Half identically to quantizing
-/// the fp32 weights on the fly — see Mlp::PackedHalfWeights.
+/// Row-major MLP parameters. The fp32 kernel reads w/b; the fp16 kernel
+/// reads wq/bq, the binary16-rounded weights as floats (Half(w).ToFloat(),
+/// the quantisation ForwardFp16 applies on the fly).
 struct MlpWeightsView {
   const float* w[3] = {nullptr, nullptr, nullptr};
   const float* b[3] = {nullptr, nullptr, nullptr};
-  const u16* wh[3] = {nullptr, nullptr, nullptr};
-  const u16* bh[3] = {nullptr, nullptr, nullptr};
+  const float* wq[3] = {nullptr, nullptr, nullptr};
+  const float* bq[3] = {nullptr, nullptr, nullptr};
 };
 
 struct MlpBatchArgs {
@@ -54,7 +56,7 @@ struct MlpBatchArgs {
 /// fractions and inside flag from the (scalar) setup pass, plus the grid's
 /// SoA channel arrays. Flattened indices must fit in i32 — the caller
 /// checks VoxelCount()*kColorFeatureDim against INT32_MAX and runs the
-/// scalar loop for oversized grids.
+/// Sample loop for oversized grids.
 struct GridTrilinearArgs {
   const Vec3i* base = nullptr;
   const Vec3f* frac = nullptr;
@@ -78,9 +80,10 @@ struct SpnerfBlendArgs {
   std::size_t n = 0;
 };
 
-/// One ISA's kernel set. Null table == run the scalar reference.
+/// One ISA's kernel set. Every compiled table sets all five entries, so
+/// callers check only the table. Null table == run the scalar
+/// implementation.
 struct KernelTable {
-  const char* name = "scalar";
   void (*mlp_forward_fp32)(const MlpBatchArgs&) = nullptr;
   void (*mlp_forward_fp16)(const MlpBatchArgs&) = nullptr;
   void (*grid_trilinear)(const GridTrilinearArgs&) = nullptr;
@@ -89,8 +92,8 @@ struct KernelTable {
 };
 
 /// Kernel table for one path; nullptr when the path has no compiled
-/// kernels in this binary (kScalar always returns nullptr — the scalar
-/// reference is inline at the call sites, not a table entry).
+/// kernels in this binary. kScalar always returns nullptr: each batch entry
+/// point runs its one scalar implementation itself.
 [[nodiscard]] const KernelTable* ForPath(simd::Path path);
 
 /// Kernel table for the active dispatch path (nullptr => scalar).

@@ -13,11 +13,9 @@
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "common/half.hpp"
 #include "common/simd_lanes_avx2.hpp"
 
 #define SPNF_LANES ::spnerf::simd::LanesAvx2
-#define SPNF_PATH_NAME "avx2"
 
 namespace spnerf::wavefront {
 namespace avx2impl {

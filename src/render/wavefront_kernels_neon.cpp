@@ -12,11 +12,9 @@
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "common/half.hpp"
 #include "common/simd_lanes_neon.hpp"
 
 #define SPNF_LANES ::spnerf::simd::LanesNeon
-#define SPNF_PATH_NAME "neon"
 
 namespace spnerf::wavefront {
 namespace neonimpl {

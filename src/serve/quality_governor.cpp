@@ -1,10 +1,25 @@
 #include "serve/quality_governor.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace spnerf {
 
 namespace {
+
+/// A rung fits a deadline when predicted cost <= remaining * headroom.
+constexpr double kDeadlineHeadroom = 0.8;
+/// Queue-occupancy thresholds (depth / capacity) flooring the rung, indexed
+/// by rung; entry 0 is unused. Batch-class requests ignore these.
+constexpr std::array<double, kQualityRungCount> kLoadFloors{0.0, 0.5, 0.75,
+                                                             0.9};
+/// Rung floor while the pressure window is open (every class).
+constexpr int kPressureFloor = 2;
+/// The pressure window closes when the dispatcher observes
+/// depth <= kPressureLowWater * capacity.
+constexpr double kPressureLowWater = 0.5;
+/// EWMA smoothing factor for online cost refinement.
+constexpr double kEwmaAlpha = 0.2;
 
 int ClampRung(int rung) {
   return std::clamp(rung, 0, static_cast<int>(kQualityRungCount) - 1);
@@ -26,8 +41,7 @@ QualityRung QualityGovernor::Decide(std::size_t priority_class,
     const double occupancy = static_cast<double>(queue_depth) /
                              static_cast<double>(capacity_);
     for (int r = static_cast<int>(kQualityRungCount) - 1; r >= 1; --r) {
-      if (options_.load_floors[static_cast<std::size_t>(r)] > 0.0 &&
-          occupancy >= options_.load_floors[static_cast<std::size_t>(r)]) {
+      if (occupancy >= kLoadFloors[static_cast<std::size_t>(r)]) {
         rung = r;
         break;
       }
@@ -36,7 +50,7 @@ QualityRung QualityGovernor::Decide(std::size_t priority_class,
 
   // 2. Pressure window: a full queue degrades every class.
   if (pressure_.load(std::memory_order_relaxed)) {
-    rung = std::max(rung, ClampRung(options_.pressure_floor));
+    rung = std::max(rung, kPressureFloor);
   }
 
   // 3. Deadline fit: escalate until the predicted cost fits the remaining
@@ -44,7 +58,7 @@ QualityRung QualityGovernor::Decide(std::size_t priority_class,
   const int ceiling = ClampRung(options_.max_rung);
   rung = std::min(rung, ceiling);
   if (has_deadline) {
-    const double budget = remaining_ms * options_.deadline_headroom;
+    const double budget = remaining_ms * kDeadlineHeadroom;
     while (rung < ceiling &&
            PredictMs(key, static_cast<QualityRung>(rung)) > budget) {
       ++rung;
@@ -86,10 +100,9 @@ void QualityGovernor::Observe(const std::string& key, QualityRung rung,
   if (options_.freeze_costs || ms < 0.0) return;
   const auto r = static_cast<std::size_t>(rung);
   std::lock_guard<std::mutex> lock(mutex_);
-  const double a = options_.ewma_alpha;
   for (Ewma* slot : {&costs_[key][r], &global_[r]}) {
     if (slot->seeded) {
-      slot->value = (1.0 - a) * slot->value + a * ms;
+      slot->value = (1.0 - kEwmaAlpha) * slot->value + kEwmaAlpha * ms;
     } else {
       slot->value = ms;
       slot->seeded = true;
@@ -103,8 +116,7 @@ void QualityGovernor::NotePressure() {
 
 void QualityGovernor::NoteDepth(std::size_t depth) {
   if (!pressure_.load(std::memory_order_relaxed)) return;
-  const double low_water =
-      options_.pressure_low_water * static_cast<double>(capacity_);
+  const double low_water = kPressureLowWater * static_cast<double>(capacity_);
   if (static_cast<double>(depth) <= low_water) {
     pressure_.store(false, std::memory_order_relaxed);
   }

@@ -5,21 +5,21 @@
 // the deadline — full quality when unloaded, degrading only under pressure,
 // so overload turns into bounded PSNR loss instead of rejections/expiries.
 //
-// Policy, in order:
-//   1. Load floor. Queue occupancy (depth / capacity) at or above
-//      load_floors[r] floors the rung at r. Batch-class requests are exempt
-//      — nobody is waiting on them, so they keep full quality until a
-//      deadline or the pressure window forces otherwise.
+// Policy, in order (the constants live in quality_governor.cpp):
+//   1. Load floor. Queue occupancy (depth / capacity) at or above 0.5,
+//      0.75 or 0.9 floors the rung at 1, 2 or 3. Batch-class requests are
+//      exempt — nobody is waiting on them, so they keep full quality until
+//      a deadline or the pressure window forces otherwise.
 //   2. Pressure window. A full-queue admission calls NotePressure(): until
-//      the dispatcher observes the queue back below the low-water mark,
-//      every class is floored at pressure_floor — "degrade over reject":
-//      the response to a full queue is cheaper work (which drains the queue
-//      and frees seats) rather than only dropping the overflow.
+//      the dispatcher observes the queue at or below half its capacity,
+//      every class is floored at rung 2 — "degrade over reject": the
+//      response to a full queue is cheaper work (which drains the queue and
+//      frees seats) rather than only dropping the overflow.
 //   3. Deadline fit. A request with a deadline escalates from the floor to
-//      the first rung whose predicted cost fits the remaining budget times
-//      deadline_headroom; if even the cheapest rung does not fit, the
-//      cheapest is used (best effort — the dispatcher already shed anything
-//      whose deadline has actually passed).
+//      the first rung whose predicted cost fits 0.8 of the remaining
+//      budget; if even the cheapest rung does not fit, the cheapest is used
+//      (best effort — the dispatcher already shed anything whose deadline
+//      has actually passed).
 //
 // Cost model: per batch-key, per-rung EWMAs of observed per-request wall
 // time (the service's issue->complete span on its scheduling clock, divided
@@ -55,21 +55,9 @@ struct QualityLadderOptions {
   bool enabled = false;
   /// Highest rung the governor may choose (degradation ceiling).
   int max_rung = static_cast<int>(kQualityRungCount) - 1;
-  /// A rung fits a deadline when predicted cost <= remaining * headroom.
-  double deadline_headroom = 0.8;
-  /// Queue-occupancy thresholds (depth / capacity) flooring the rung, index
-  /// by rung; entry 0 is unused. Batch-class requests ignore these.
-  std::array<double, kQualityRungCount> load_floors{0.0, 0.5, 0.75, 0.9};
-  /// Rung floor while the pressure window is open (every class).
-  int pressure_floor = 2;
-  /// The pressure window closes when the dispatcher observes
-  /// depth <= pressure_low_water * capacity.
-  double pressure_low_water = 0.5;
   /// Rung-0 cost estimate before any observation, scaled per rung by
   /// RungSpec::cost_scale.
   double default_cost_ms = 50.0;
-  /// EWMA smoothing factor for online cost refinement.
-  double ewma_alpha = 0.2;
   /// Disables Observe() (SeedCost still writes): determinism-test mode —
   /// the cost model is exactly what the test injected, never perturbed by
   /// measured wall time.

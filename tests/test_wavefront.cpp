@@ -15,6 +15,7 @@
 #include "render/field_source.hpp"
 #include "render/render_engine.hpp"
 #include "render/volume_renderer.hpp"
+#include "render/wavefront_kernels.hpp"
 #include "scene/dataset.hpp"
 
 namespace spnerf {
@@ -531,6 +532,18 @@ TEST(SimdDispatchTest, SetActivePathDegradesGracefully) {
     EXPECT_TRUE(simd::PathSupported(applied));
     EXPECT_EQ(applied, simd::PathSupported(p) ? p : simd::Path::kScalar);
     EXPECT_EQ(simd::ActivePath(), applied);
+    // The batch entry points check only the table, never an entry: scalar
+    // has no table, and every compiled table is complete.
+    const wavefront::KernelTable* kt = wavefront::ForPath(p);
+    if (p == simd::Path::kScalar) {
+      EXPECT_EQ(kt, nullptr);
+    } else if (kt != nullptr) {
+      EXPECT_NE(kt->mlp_forward_fp32, nullptr);
+      EXPECT_NE(kt->mlp_forward_fp16, nullptr);
+      EXPECT_NE(kt->grid_trilinear, nullptr);
+      EXPECT_NE(kt->spnerf_blend_fp32, nullptr);
+      EXPECT_NE(kt->spnerf_blend_fp16, nullptr);
+    }
   }
   simd::SetActivePath(saved);
 }
