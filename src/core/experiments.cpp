@@ -83,7 +83,6 @@ std::vector<PsnrRow> RunPsnr(const ExperimentConfig& cfg) {
     // through a single scheduler instead of four serial full-frame passes.
     Image gt, vqrf, pre, post;
     (void)p->RenderComparison(cam, &gt, &vqrf, &pre, &post);
-    p->ReleaseRestored();
 
     PsnrRow r;
     r.scene = SceneName(id);

@@ -43,19 +43,6 @@ RenderOptions ScenePipeline::RenderOptionsWithSkip() const {
   return opt;
 }
 
-std::shared_ptr<const DenseGrid> ScenePipeline::RestoredShared() const {
-  std::lock_guard<std::mutex> lock(*restored_mutex_);
-  if (!restored_) {
-    restored_ = std::make_shared<DenseGrid>(assets_.dataset->vqrf->Restore());
-  }
-  return restored_;
-}
-
-void ScenePipeline::ReleaseRestored() const {
-  std::lock_guard<std::mutex> lock(*restored_mutex_);
-  restored_.reset();
-}
-
 Image ScenePipeline::RenderGroundTruth(const Camera& camera) const {
   const AnalyticFieldSource source(assets_.dataset->scene);
   RenderJob job;
@@ -67,10 +54,8 @@ Image ScenePipeline::RenderGroundTruth(const Camera& camera) const {
 }
 
 Image ScenePipeline::RenderVqrf(const Camera& camera) const {
-  // Pin the restored grid for the whole render: a concurrent
-  // ReleaseRestored() then only drops the pipeline's reference.
-  const std::shared_ptr<const DenseGrid> restored = RestoredShared();
-  const GridFieldSource source(*restored);
+  const DenseGrid restored = assets_.dataset->vqrf->Restore();
+  const GridFieldSource source(restored);
   RenderJob job;
   job.source = &source;
   job.mlp = &mlp_;
@@ -106,11 +91,11 @@ double ScenePipeline::RenderComparison(const Camera& camera, Image* gt,
   pre_src.SetMasking(false);
   SpNeRFFieldSource post_src(*assets_.codec, config_.render.fp16_mlp);
   post_src.SetMasking(true);
-  std::shared_ptr<const DenseGrid> restored;  // pinned for the batch
+  DenseGrid restored;
   std::unique_ptr<GridFieldSource> vqrf_src;
   if (vqrf != nullptr) {
-    restored = RestoredShared();
-    vqrf_src = std::make_unique<GridFieldSource>(*restored);
+    restored = assets_.dataset->vqrf->Restore();
+    vqrf_src = std::make_unique<GridFieldSource>(restored);
   }
 
   RenderJob base;

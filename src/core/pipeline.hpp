@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "assets/asset_cache.hpp"
@@ -76,7 +75,8 @@ class ScenePipeline {
 
   [[nodiscard]] Image RenderGroundTruth(const Camera& camera) const;
   /// Renders from the restored dense grid (the original VQRF flow). The
-  /// restored grid is materialised on first use and cached.
+  /// grid (full-resolution FP32) is restored for this call and freed when
+  /// it returns.
   [[nodiscard]] Image RenderVqrf(const Camera& camera) const;
   /// Renders via online decoding; stats/counter collection is fully
   /// parallel (per-tile shards, ordered reduction).
@@ -85,18 +85,10 @@ class ScenePipeline {
                                    DecodeCounters* counters = nullptr) const;
   /// Renders the paper's compared paths for one camera as a single engine
   /// batch. Null output pointers skip that path (a null `vqrf` also skips
-  /// materialising the restored grid). Returns the batch wall time in ms
-  /// (issue to the slowest job's completion).
+  /// restoring the dense grid, which lives only for the call). Returns the
+  /// batch wall time in ms (issue to the slowest job's completion).
   double RenderComparison(const Camera& camera, Image* gt, Image* vqrf,
                           Image* spnerf_premask, Image* spnerf_postmask) const;
-  /// Restored dense grid, materialised on first use (large: FP32).
-  /// Materialisation is mutex-guarded; renders pin the grid through a
-  /// shared_ptr, so a concurrent ReleaseRestored() only drops this
-  /// pipeline's reference. The raw reference returned here is for
-  /// inspection — do not hold it across a ReleaseRestored().
-  [[nodiscard]] const DenseGrid& RestoredGrid() const {
-    return *RestoredShared();
-  }
 
   /// Tile-render with statistics and scale to a full frame (sim input).
   [[nodiscard]] FrameWorkload MeasureWorkload(int tile_size = 96,
@@ -107,23 +99,10 @@ class ScenePipeline {
                                                     int frame_width = 800,
                                                     int frame_height = 800) const;
 
-  /// Drops the cached restored grid (it is large: full-resolution FP32).
-  void ReleaseRestored() const;
-
  private:
-  /// Materialise-once accessor; the returned pointer keeps the grid alive
-  /// even if ReleaseRestored() runs concurrently.
-  [[nodiscard]] std::shared_ptr<const DenseGrid> RestoredShared() const;
-
   PipelineConfig config_;
   PipelineAssets assets_;  // shared immutable heavy state
   Mlp mlp_;
-  // Lazily-materialised restored grid, guarded against concurrent
-  // materialisation (two RenderVqrf calls racing). The mutex lives behind a
-  // shared_ptr so the pipeline stays movable/copyable.
-  std::shared_ptr<std::mutex> restored_mutex_ =
-      std::make_shared<std::mutex>();
-  mutable std::shared_ptr<DenseGrid> restored_;
 };
 
 }  // namespace spnerf

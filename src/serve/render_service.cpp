@@ -43,10 +43,6 @@ u32 OutcomeTagId(RequestStatus status) {
   return ids[static_cast<std::size_t>(status)];
 }
 
-/// Chunk size of the incremental full-queue expiry sweep at admission: the
-/// bounded work an admit pays per attempt to free a seat.
-constexpr std::size_t kAdmitSweepChunk = 32;
-
 constexpr std::size_t kNoBest = static_cast<std::size_t>(-1);
 
 }  // namespace
@@ -101,6 +97,21 @@ struct RenderService::Pending {
     }
     if (deadline != other.deadline) return deadline < other.deadline;
     return sequence < other.sequence;
+  }
+
+  /// Emits this request's envelope "request" span, submit -> `end_ns`,
+  /// carrying every tag the timeline reconstruction needs.
+  void EmitRequestSpan(u64 end_ns, RequestStatus outcome) const {
+    obs::TraceEvent ev;
+    ev.start_ns = trace_submit_ns;
+    ev.end_ns = end_ns;
+    ev.category = "serve";
+    ev.name = "request";
+    ev.flow = request_id;
+    ev.AddStrArg("priority", PriorityTagId(request.priority));
+    ev.AddStrArg("key", trace_key_id);
+    ev.AddStrArg("outcome", OutcomeTagId(outcome));
+    obs::Emit(ev);
   }
 };
 
@@ -172,58 +183,25 @@ void RenderService::Shed(Pending& entry, RequestStatus status) {
   } else {
     stats_.RecordRejected(PriorityClass(entry.request.priority));
   }
+  // A shed request's whole timeline is its queue wait: submit -> shed.
   if (entry.trace_submit_ns != 0) {
-    // A shed request's whole timeline is its queue wait: one "request" span
-    // submit -> shed, tagged with the terminal outcome.
-    obs::TraceEvent ev;
-    ev.start_ns = entry.trace_submit_ns;
-    ev.end_ns = obs::TraceNowNs();
-    ev.category = "serve";
-    ev.name = "request";
-    ev.flow = entry.request_id;
-    ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
-    ev.AddStrArg("key", entry.trace_key_id);
-    ev.AddStrArg("outcome", OutcomeTagId(status));
-    obs::Emit(ev);
+    entry.EmitRequestSpan(obs::TraceNowNs(), status);
   }
   entry.promise.set_value(std::move(response));
 }
 
-void RenderService::DecKeyCountLocked(const std::string& key) {
-  auto it = key_counts_.find(key);
-  if (it != key_counts_.end() && --it->second == 0) key_counts_.erase(it);
-}
-
-bool RenderService::SweepSomeExpiredLocked(
-    std::chrono::steady_clock::time_point now,
-    std::vector<PendingHandle>& out) {
-  const std::size_t budget = queue_.size();  // at most one full cycle
-  std::size_t inspected = 0;
-  bool freed = false;
-  while (inspected < budget && !queue_.empty()) {
-    for (std::size_t c = 0;
-         c < kAdmitSweepChunk && inspected < budget && !queue_.empty();
-         ++c, ++inspected) {
-      if (sweep_pos_ >= queue_.size()) sweep_pos_ = 0;
-      if (queue_[sweep_pos_]->ExpiredAt(now)) {
-        DecKeyCountLocked(queue_[sweep_pos_]->batch_key);
-        out.push_back(std::move(queue_[sweep_pos_]));
-        // Swap-with-back removal: O(1), and queue order is free — every
-        // scheduling decision ranks by Outranks(), never by position.
-        queue_[sweep_pos_] = std::move(queue_.back());
-        queue_.pop_back();
-        freed = true;
-      } else {
-        ++sweep_pos_;
-      }
+void RenderService::TakeExpiredLocked(Clock::time_point now,
+                                      std::vector<PendingHandle>& out) {
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < queue_.size(); ++read) {
+    if (queue_[read]->ExpiredAt(now)) {
+      out.push_back(std::move(queue_[read]));
+    } else {
+      if (write != read) queue_[write] = std::move(queue_[read]);
+      ++write;
     }
-    // A seat is free: stop — the admit only needed one, and the
-    // dispatcher's own integrated pass sheds the rest. Only a queue with
-    // nothing expired pays the full cycle (the cost the old full sweep
-    // always paid).
-    if (freed) break;
   }
-  return freed;
+  queue_.resize(write);
 }
 
 std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
@@ -263,13 +241,15 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
   entry->sequence = next_sequence_++;
 
   std::vector<PendingHandle> dead;
-  // A full queue may be holding already-expired entries; shed those first —
-  // dead work must neither consume capacity nor hold its (earliest-deadline,
-  // hence highest) rank against live arrivals.
-  const bool seated = queue_.size() < options_.queue_capacity ||
-                      SweepSomeExpiredLocked(clock_.Now(), dead);
-  if (seated) {
-    ++key_counts_[entry->batch_key];
+  // A full queue may be holding already-expired entries; shed them all
+  // first — dead work must neither consume capacity nor hold its
+  // (earliest-deadline, hence highest) rank against live arrivals. The
+  // queue is bounded, so this costs at most one pass over queue_capacity
+  // entries, the same scan every dispatch makes.
+  if (queue_.size() >= options_.queue_capacity) {
+    TakeExpiredLocked(clock_.Now(), dead);
+  }
+  if (queue_.size() < options_.queue_capacity) {
     queue_.push_back(std::move(entry));
     const std::size_t depth = queue_.size();
     lock.unlock();
@@ -279,7 +259,7 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
     return future;
   }
 
-  // Still full of live work (the sweep freed nothing, so `dead` is empty):
+  // Still full of live work (the pass freed nothing, so `dead` is empty):
   // degrade over reject — open the governor's pressure window before any
   // shedding decision, so subsequent issues run cheap rungs, the queue
   // drains faster and the next admission finds a seat instead of this dead
@@ -299,8 +279,6 @@ std::future<RenderResponse> RenderService::Submit(RenderRequest request) {
   if (worst != queue_.end() && entry->Outranks(**worst)) {
     PendingHandle evicted = std::move(*worst);
     queue_.erase(worst);
-    DecKeyCountLocked(evicted->batch_key);
-    ++key_counts_[entry->batch_key];
     queue_.push_back(std::move(entry));
     const std::size_t depth = queue_.size();
     lock.unlock();
@@ -415,18 +393,7 @@ void RenderService::CompleteBatch(
                              PriorityClass(entry.request.priority),
                              rung_index);
       if (entry.trace_submit_ns != 0 && done_ns != 0) {
-        // The request's envelope span, submit -> response ready, carrying
-        // every tag the timeline reconstruction needs.
-        obs::TraceEvent ev;
-        ev.start_ns = entry.trace_submit_ns;
-        ev.end_ns = done_ns;
-        ev.category = "serve";
-        ev.name = "request";
-        ev.flow = entry.request_id;
-        ev.AddStrArg("priority", PriorityTagId(entry.request.priority));
-        ev.AddStrArg("key", entry.trace_key_id);
-        ev.AddStrArg("outcome", OutcomeTagId(RequestStatus::kCompleted));
-        obs::Emit(ev);
+        entry.EmitRequestSpan(done_ns, RequestStatus::kCompleted);
       }
       entry.promise.set_value(std::move(response));
     } catch (const std::exception& e) {
@@ -553,7 +520,6 @@ void RenderService::DispatcherLoop() {
         // swap.
         std::vector<PendingHandle> drained;
         drained.swap(queue_);
-        key_counts_.clear();
         work_cv_.wait(lock, [this] { return inflight_batches_ == 0; });
         lock.unlock();
         for (PendingHandle& entry : drained) {
@@ -564,28 +530,18 @@ void RenderService::DispatcherLoop() {
       }
 
       if (!paused_ && inflight_batches_ < options_.max_inflight_batches) {
-        // One integrated pass: shed anything already past its deadline
-        // (the expiry sweep rides the selection scan the dispatcher pays
-        // anyway — no separate full-queue sweep) while tracking the
+        // Shed anything already past its deadline, then pick the
         // best-ranked survivor whose key has no batch in flight (same-key
         // requests wait and coalesce into the next batch).
         const Clock::time_point now = clock_.Now();
-        std::size_t write = 0;
+        TakeExpiredLocked(now, expired);
         std::size_t best = kNoBest;
-        for (std::size_t read = 0; read < queue_.size(); ++read) {
-          if (queue_[read]->ExpiredAt(now)) {
-            DecKeyCountLocked(queue_[read]->batch_key);
-            expired.push_back(std::move(queue_[read]));
-            continue;
+        for (std::size_t i = 0; i < queue_.size(); ++i) {
+          if (inflight_keys_.count(queue_[i]->batch_key) == 0 &&
+              (best == kNoBest || queue_[i]->Outranks(*queue_[best]))) {
+            best = i;
           }
-          if (write != read) queue_[write] = std::move(queue_[read]);
-          if (inflight_keys_.count(queue_[write]->batch_key) == 0 &&
-              (best == kNoBest || queue_[write]->Outranks(*queue_[best]))) {
-            best = write;
-          }
-          ++write;
         }
-        queue_.resize(write);
 
         if (best != kNoBest) {
           batch = std::make_shared<InflightBatch>();
@@ -607,24 +563,19 @@ void RenderService::DispatcherLoop() {
                                     depth_at_issue, e.batch_key);
           };
           batch->rung = decide_rung(*queue_[best]);
-          const std::size_t same_key = key_counts_[batch->key];
-          DecKeyCountLocked(batch->key);
           batch->entries.push_back(std::move(queue_[best]));
-          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-          // Coalesce only when the key count says a mate exists — the
-          // batch-size-1 fast path skips the scan entirely. Mates join in
-          // scheduling order, not submission order: when max_batch binds,
-          // the seats go to the highest-ranked same-key requests (a
-          // batch-class mate must never displace an interactive one into a
-          // later dispatch). Under the ladder, coalescing is keyed on
-          // (batch key, rung): a mate only joins when its own governor
-          // decision matches the leader's, so every entry of a batch
-          // shares one set of render options; mismatched mates wait for
-          // the next dispatch of their key.
-          if (same_key > 1 && options_.max_batch > 1) {
-            std::vector<std::size_t> mates;
+          // Mates join in scheduling order, not submission order: when
+          // max_batch binds, the seats go to the highest-ranked same-key
+          // requests (a batch-class mate must never displace an interactive
+          // one into a later dispatch). Under the ladder, coalescing is
+          // keyed on (batch key, rung): a mate only joins when its own
+          // governor decision matches the leader's, so every entry of a
+          // batch shares one set of render options; mismatched mates wait
+          // for the next dispatch of their key.
+          std::vector<std::size_t> mates;
+          if (options_.max_batch > 1) {
             for (std::size_t i = 0; i < queue_.size(); ++i) {
-              if (queue_[i]->batch_key == batch->key &&
+              if (i != best && queue_[i]->batch_key == batch->key &&
                   decide_rung(*queue_[i]) == batch->rung) {
                 mates.push_back(i);
               }
@@ -636,18 +587,13 @@ void RenderService::DispatcherLoop() {
             if (mates.size() > options_.max_batch - 1) {
               mates.resize(options_.max_batch - 1);
             }
-            for (std::size_t idx : mates) {
-              DecKeyCountLocked(batch->key);
-              batch->entries.push_back(std::move(queue_[idx]));
-            }
-            if (!mates.empty()) {
-              queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                                          [](const PendingHandle& e) {
-                                            return e == nullptr;
-                                          }),
-                           queue_.end());
-            }
           }
+          for (std::size_t idx : mates) {
+            batch->entries.push_back(std::move(queue_[idx]));
+          }
+          // The leader and its mates left null handles behind.
+          queue_.erase(std::remove(queue_.begin(), queue_.end(), nullptr),
+                       queue_.end());
           inflight_keys_.insert(batch->key);
           ++inflight_batches_;
           batch->dispatch_index = next_dispatch_++;

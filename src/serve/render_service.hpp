@@ -16,17 +16,20 @@
 //     status) if the incoming one outranks it; otherwise the incoming
 //     request is rejected immediately. The service never grows an unbounded
 //     backlog — overload turns into rejections, not latency collapse.
-//     Admission is one step under the service mutex: the capacity check,
-//     any expiry sweep or eviction, and the entry's place in the ranked
+//     A full queue first sheds every expired entry (kExpired) in one
+//     compaction pass; only a queue still full of live work evicts or
+//     rejects. Admission is one step under the service mutex: the capacity
+//     check, that pass or the eviction, and the entry's place in the ranked
 //     queue. Every shed future resolves before Submit returns.
 //   * Scheduling order. Highest priority first; within a priority class,
 //     earliest absolute deadline first (requests without a deadline sort
 //     last); FIFO as the tie-break. Deterministic for a fixed submit order.
 //   * Deadline shedding. A request whose deadline passes while it waits is
-//     completed with kExpired at dispatch time without rendering — queue
-//     time is never spent on work nobody can use. Once rendering starts a
-//     request always completes (the result is already paid for); a deadline
-//     that lapses mid-render is reported via RenderResponse::missed_deadline.
+//     completed with kExpired without rendering, by the next expiry pass (a
+//     dispatch, or an admission into a full queue) — queue time is never
+//     spent on work nobody can use. Once rendering starts a request always
+//     completes (the result is already paid for); a deadline that lapses
+//     mid-render is reported via RenderResponse::missed_deadline.
 //   * Batching. The issue half pops the best-ranked request whose batch key
 //     — pipeline key (scene, build params, render options, camera
 //     intrinsics, MLP seed) plus masking flag — has no batch already in
@@ -66,7 +69,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -202,7 +204,6 @@ class RenderService {
   [[nodiscard]] const QualityGovernor& Governor() const { return governor_; }
   [[nodiscard]] std::size_t QueueDepth() const;
   [[nodiscard]] std::size_t InflightBatches() const;
-  [[nodiscard]] const RenderServiceOptions& Options() const { return options_; }
 
   /// Batch-coalescing identity of a request: the pipeline key plus every
   /// request field that changes decoding (masking). Exposed for tests.
@@ -231,18 +232,13 @@ class RenderService {
   void ReleaseBatch(const InflightBatch& batch);
   /// Completes `entry` as shed with `status` and records stats.
   void Shed(Pending& entry, RequestStatus status);
-  /// Incremental expiry sweep for a full-queue admission: scans bounded
-  /// chunks from a rotating cursor and stops as soon as one seat frees, so
-  /// an admit over a deep backlog of expired entries does O(chunk) work,
-  /// not O(queue). Falls through to a full cycle only when nothing is
-  /// expired — the cost the old full sweep always paid. Swept entries land
-  /// in `out`; caller must hold mutex_ and Shed() them after releasing it.
-  /// Returns whether any entry was freed.
-  bool SweepSomeExpiredLocked(std::chrono::steady_clock::time_point now,
-                              std::vector<PendingHandle>& out);
-  /// Drops one queued-count reference for `key` in key_counts_. Caller must
-  /// hold mutex_.
-  void DecKeyCountLocked(const std::string& key);
+  /// The one expiry pass, run by a full-queue admission and by the
+  /// dispatcher before it picks a batch: a stable compaction that moves
+  /// every entry expired at `now` from the queue into `out`. One pass over
+  /// at most `queue_capacity` entries. Caller must hold mutex_ and Shed()
+  /// the moved entries after releasing it.
+  void TakeExpiredLocked(std::chrono::steady_clock::time_point now,
+                         std::vector<PendingHandle>& out);
   /// True when some queued request's batch key has no batch in flight.
   /// Caller must hold mutex_.
   [[nodiscard]] bool HasDispatchableLocked() const;
@@ -269,13 +265,8 @@ class RenderService {
   /// Admitted requests not yet dispatched or shed. Its size is the
   /// admission capacity gate. Guarded by mutex_.
   std::vector<PendingHandle> queue_;
-  /// Queued entries per batch key. Lets the dispatcher skip the coalescing
-  /// mate-scan entirely when the chosen request is the only one of its
-  /// key — the batch-size-1 fast path.
-  std::unordered_map<std::string, std::size_t> key_counts_;  // guarded by mutex_
   std::unordered_set<std::string> inflight_keys_;  // guarded by mutex_
   std::size_t inflight_batches_ = 0;  // guarded by mutex_
-  std::size_t sweep_pos_ = 0;         // guarded by mutex_; expiry sweep cursor
   u64 next_sequence_ = 0;             // guarded by mutex_
   u64 next_dispatch_ = 0;             // guarded by mutex_
   bool paused_ = false;               // guarded by mutex_

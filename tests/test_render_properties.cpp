@@ -30,7 +30,6 @@ TEST_P(ScenePropertyTest, EndToEndInvariants) {
   const Image vqrf = p.RenderVqrf(cam);
   const Image pre = p.RenderSpnerf(cam, false);
   const Image post = p.RenderSpnerf(cam, true);
-  p.ReleaseRestored();
 
   // 1. All pixel values are finite and inside [0, 1] (sigmoid colors
   //    composited over a [0,1] background with weights summing <= 1).

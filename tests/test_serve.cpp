@@ -199,12 +199,22 @@ TEST_F(ServeTest, EarlierDeadlineDispatchesFirstWithinPriority) {
 }
 
 TEST_F(ServeTest, SameSceneRequestsCoalesceIntoOneBatch) {
+  // One interactive lego request with no queued mate, then four mic
+  // requests: the lego leader dispatches first and alone, and the four mic
+  // requests share the next batch.
   RenderService service(PausedOptions(/*capacity=*/16, /*max_batch=*/8));
+  RenderRequest lego = SmallRequest(SceneId::kLego);
+  lego.priority = RequestPriority::kInteractive;
+  std::future<RenderResponse> f_lego = service.Submit(lego);
   std::vector<std::future<RenderResponse>> futures;
   for (int v = 0; v < 4; ++v) {
     futures.push_back(service.Submit(SmallRequest(SceneId::kMic, v)));
   }
   service.Drain();
+  const RenderResponse r_lego = f_lego.get();
+  ASSERT_EQ(r_lego.status, RequestStatus::kCompleted);
+  EXPECT_EQ(r_lego.batch_size, 1u);
+  EXPECT_EQ(r_lego.dispatch_index, 0u);
   u64 dispatch = 0;
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const RenderResponse r = futures[i].get();
@@ -216,7 +226,7 @@ TEST_F(ServeTest, SameSceneRequestsCoalesceIntoOneBatch) {
       EXPECT_EQ(r.dispatch_index, dispatch);  // one engine call served all
     }
   }
-  EXPECT_EQ(service.Stats().batches, 1u);
+  EXPECT_EQ(service.Stats().batches, 2u);
 }
 
 TEST_F(ServeTest, MaskingSplitsTheBatchKey) {
@@ -230,27 +240,33 @@ TEST_F(ServeTest, MaskingSplitsTheBatchKey) {
 }
 
 TEST_F(ServeTest, ExpiredEntriesYieldTheirSeatsAtAdmission) {
-  // A full queue of already-dead work must not reject live arrivals: the
-  // admission path sweeps expired entries before deciding to shed.
+  // A full queue holding dead work must not reject live arrivals: the
+  // admission path sheds every expired entry before deciding to shed live
+  // work, and keeps the live entry queued between the dead ones.
   ManualClock clock;
-  RenderServiceOptions opts = PausedOptions(/*capacity=*/2);
+  RenderServiceOptions opts = PausedOptions(/*capacity=*/3);
   opts.clock = &clock;
   RenderService service(opts);
   RenderRequest doomed = SmallRequest();
   doomed.deadline_ms = 1.0;
   std::future<RenderResponse> d0 = service.Submit(doomed);
+  std::future<RenderResponse> live0 =
+      service.Submit(SmallRequest(SceneId::kMic, 1));
   std::future<RenderResponse> d1 = service.Submit(doomed);
   clock.AdvanceMs(20.0);
 
-  std::future<RenderResponse> live = service.Submit(SmallRequest());
-  // The dead entries were shed to make room; the live request is queued.
+  std::future<RenderResponse> live1 =
+      service.Submit(SmallRequest(SceneId::kMic, 2));
+  // Both dead entries were shed to make room; both live requests are
+  // queued.
   ASSERT_EQ(d0.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   ASSERT_EQ(d1.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(d0.get().status, RequestStatus::kExpired);
   EXPECT_EQ(d1.get().status, RequestStatus::kExpired);
-  EXPECT_EQ(service.QueueDepth(), 1u);
+  EXPECT_EQ(service.QueueDepth(), 2u);
   service.Drain();
-  EXPECT_EQ(live.get().status, RequestStatus::kCompleted);
+  EXPECT_EQ(live0.get().status, RequestStatus::kCompleted);
+  EXPECT_EQ(live1.get().status, RequestStatus::kCompleted);
 }
 
 TEST_F(ServeTest, BindingBatchCapSeatsHigherPriorityMatesFirst) {
@@ -554,10 +570,9 @@ TEST_F(ServeTest, StagedBacklogEvictsRejectsAndCoalesces) {
 }
 
 TEST_F(ServeTest, DeepExpiredBacklogDoesNotStallAdmission) {
-  // The incremental expiry sweep: admission into a queue full of dead work
-  // frees a bounded chunk (enough for a seat), never walks the entire
-  // backlog with the lock held. The rest of the corpses are reaped by the
-  // dispatcher's own pass.
+  // Admission into a queue full of dead work sheds the whole backlog in
+  // its one expiry pass: the live request is seated, and every dead future
+  // resolves before the dispatcher runs.
   constexpr std::size_t kCapacity = 256;
   ManualClock clock;
   RenderServiceOptions manual_opts = PausedOptions(kCapacity);
@@ -576,11 +591,11 @@ TEST_F(ServeTest, DeepExpiredBacklogDoesNotStallAdmission) {
   // Seated, not shed: the future is still pending on the paused service.
   EXPECT_NE(live.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
-  // The sweep was incremental: at least one seat freed, but nowhere near
-  // the whole backlog examined.
-  const std::size_t depth = service.QueueDepth();
-  EXPECT_LE(depth, kCapacity);
-  EXPECT_GE(depth, kCapacity - 64);
+  // One pass shed every expired entry: only the live request is queued.
+  EXPECT_EQ(service.QueueDepth(), 1u);
+  for (auto& f : dead) {
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  }
 
   service.Drain();
   EXPECT_EQ(live.get().status, RequestStatus::kCompleted);
