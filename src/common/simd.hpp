@@ -1,14 +1,16 @@
 // Portable SIMD layer: runtime ISA detection and dispatch-path selection
-// for the vectorised wavefront kernels (see render/wavefront_kernels.hpp).
+// for the vectorised wavefront kernels (see render/wavefront_kernels.hpp)
+// and codebook-training kernels (grid/codebook_kernels.hpp).
 //
 // Design:
 //   * Every kernel has one scalar implementation — the field sources'
-//     Sample functions and Mlp's blocked ForwardScalar/ForwardFp16Scalar —
-//     which its batch entry point runs whenever no kernel is active, and
-//     the SIMD paths are required to be BIT-identical to it. Vectorisation
-//     is across the sample (lane) dimension, so each sample's accumulation
-//     chain keeps the exact scalar op order: no FMA contraction, no
-//     reassociation.
+//     Sample functions, Mlp's blocked ForwardScalar/ForwardFp16Scalar,
+//     Codebook::Nearest and the seeding D^2 loop — which its entry point
+//     runs whenever no kernel is active, and the SIMD paths are required
+//     to be BIT-identical to it. Vectorisation is across independent
+//     results (samples, or codebook rows in the nearest scan), so each
+//     lane's accumulation chain keeps the exact scalar op order: no FMA
+//     contraction, no reassociation.
 //   * The dispatch path is process-global, resolved once from the
 //     SPNF_SIMD environment variable ("scalar" | "avx2" | "neon"); absent
 //     or unparseable values resolve to the best host-supported path. A
@@ -51,7 +53,7 @@ bool ParsePathName(std::string_view name, Path& out);
 /// The widest host-supported path (what auto-detection resolves to).
 [[nodiscard]] Path BestSupportedPath();
 
-/// The path the wavefront kernels currently dispatch on. First call
+/// The path the SIMD kernels currently dispatch on. First call
 /// resolves the SPNF_SIMD override / auto-detection; later calls are one
 /// relaxed atomic load.
 [[nodiscard]] Path ActivePath();

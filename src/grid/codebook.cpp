@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
+#include "grid/codebook_kernels.hpp"
 
 namespace spnerf {
 namespace {
@@ -18,6 +20,29 @@ float Dist2(const FeatureVec& a, const FeatureVec& b) {
   }
   return acc;
 }
+
+/// Lane-major copy of feature vectors for the codebook kernels (layout in
+/// codebook_kernels::LaneMajorView), padded with +inf vectors.
+struct LaneMajor {
+  AlignedVector<float> cols;
+  std::size_t padded = 0;
+
+  explicit LaneMajor(std::span<const FeatureVec> vecs) {
+    constexpr std::size_t kPad = codebook_kernels::kLanePad;
+    padded = (vecs.size() + kPad - 1) / kPad * kPad;
+    cols.assign(padded * kColorFeatureDim,
+                std::numeric_limits<float>::infinity());
+    for (std::size_t i = 0; i < vecs.size(); ++i) {
+      for (int c = 0; c < kColorFeatureDim; ++c) {
+        cols[static_cast<std::size_t>(c) * padded + i] = vecs[i][c];
+      }
+    }
+  }
+
+  [[nodiscard]] codebook_kernels::LaneMajorView View() const {
+    return {cols.data(), padded};
+  }
+};
 
 }  // namespace
 
@@ -35,24 +60,37 @@ Codebook Codebook::Train(std::span<const FeatureVec> samples, int size,
 
   // k-means++ seeding: first centroid uniform, then proportional to D^2.
   // The D^2 refresh against the newest centroid is the seeding hot loop
-  // (codebook-size x samples distance computations); it updates each entry
-  // independently, so the parallel version is bit-exact for any worker
-  // count. The probability total is then summed sequentially in index
+  // (codebook-size x samples distance computations). With a SIMD kernel it
+  // runs serially over a lane-major copy of the samples, fused with the
+  // probability total, since one round is too short to pay for a pool
+  // dispatch; otherwise the scalar loop runs across the pool and the total
+  // is summed after it. Both update each entry independently with the same
+  // min, so D^2 is bit-identical on every path and at any worker count. The
+  // total is summed sequentially in index order and the walk picks in index
   // order, keeping the picked centroids deterministic too.
+  const codebook_kernels::KernelTable* kernels = codebook_kernels::Active();
+  const LaneMajor lane_samples(kernels ? samples
+                                       : std::span<const FeatureVec>{});
   centroids.push_back(samples[rng.NextBelow(samples.size())]);
-  std::vector<float> d2(samples.size(), std::numeric_limits<float>::max());
+  AlignedVector<float> d2(kernels ? lane_samples.padded : samples.size(),
+                          std::numeric_limits<float>::max());
   while (static_cast<int>(centroids.size()) < size) {
     const FeatureVec& latest = centroids.back();
-    ParallelFor(
-        samples.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            d2[i] = std::min(d2[i], Dist2(samples[i], latest));
-          }
-        },
-        max_threads);
     double total = 0.0;
-    for (std::size_t i = 0; i < samples.size(); ++i) total += d2[i];
+    if (kernels) {
+      total = kernels->d2_refresh(
+          {lane_samples.View(), samples.size(), &latest, d2.data()});
+    } else {
+      ParallelFor(
+          samples.size(),
+          [&](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              d2[i] = std::min(d2[i], Dist2(samples[i], latest));
+            }
+          },
+          max_threads);
+      for (std::size_t i = 0; i < samples.size(); ++i) total += d2[i];
+    }
     if (total <= 0.0) {
       // All samples coincide with existing centroids: replicate a sample.
       centroids.push_back(samples[rng.NextBelow(samples.size())]);
@@ -77,14 +115,7 @@ Codebook Codebook::Train(std::span<const FeatureVec> samples, int size,
   std::vector<u64> counts(static_cast<std::size_t>(size));
   Codebook book(std::move(centroids));
   for (int it = 0; it < iterations; ++it) {
-    ParallelFor(
-        samples.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            next_assign[i] = book.Nearest(samples[i]);
-          }
-        },
-        max_threads);
+    book.NearestBatch(samples, next_assign, max_threads);
     bool changed = false;
     for (std::size_t i = 0; i < samples.size(); ++i) {
       if (next_assign[i] != assign[i]) {
@@ -129,8 +160,58 @@ int Codebook::Nearest(const FeatureVec& f) const {
   return best;
 }
 
+void Codebook::NearestBatch(std::span<const FeatureVec> queries,
+                            std::span<int> out, unsigned max_threads) const {
+  SPNERF_CHECK_MSG(out.size() == queries.size(),
+                   "NearestBatch output size " << out.size()
+                                               << " != query count "
+                                               << queries.size());
+  const codebook_kernels::KernelTable* kernels = codebook_kernels::Active();
+  if (kernels == nullptr) {
+    ParallelFor(
+        queries.size(),
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            out[i] = Nearest(queries[i]);
+          }
+        },
+        max_threads);
+    return;
+  }
+  // The kernel carries row indices in float lanes, exact below 2^24.
+  SPNERF_CHECK_MSG(rows_.size() < (std::size_t{1} << 24),
+                   "codebook too large for the lane-major scan: "
+                       << rows_.size() << " rows");
+  const LaneMajor rows(rows_);
+  ParallelFor(
+      queries.size(),
+      [&](std::size_t begin, std::size_t end) {
+        kernels->nearest({rows.View(), queries.data() + begin,
+                          out.data() + begin, end - begin});
+      },
+      max_threads);
+}
+
 float Codebook::QuantizationError(const FeatureVec& f) const {
   return Dist2(f, rows_[static_cast<std::size_t>(Nearest(f))]);
 }
 
+namespace codebook_kernels {
+
+const KernelTable* ForPath(simd::Path path) {
+  switch (path) {
+    case simd::Path::kScalar:
+      // No table: Codebook::NearestBatch and Train run the scalar loops.
+      return nullptr;
+    case simd::Path::kAvx2:
+      return Avx2Table();
+    case simd::Path::kNeon:
+      return NeonTable();
+  }
+  return nullptr;
+}
+
+const KernelTable* Active() { return ForPath(simd::ActivePath()); }
+
+}  // namespace codebook_kernels
 }  // namespace spnerf

@@ -23,16 +23,25 @@ class Codebook {
   /// Trains `size` centroids on `samples` with k-means (k-means++ seeding,
   /// fixed iteration budget). If there are fewer distinct samples than
   /// centroids the surplus rows stay at sampled positions. `max_threads`
-  /// caps the parallel seeding/assignment loops (0 = every pool worker);
-  /// the result is identical for any value.
+  /// caps the parallel Lloyd assignment (NearestBatch) and, when no SIMD
+  /// kernel is active, the seeding refresh loop; 0 = every pool worker. The
+  /// result is identical for any value and on every SIMD path.
   static Codebook Train(std::span<const FeatureVec> samples, int size,
                         int iterations, Rng& rng, unsigned max_threads = 0);
 
   [[nodiscard]] int Size() const { return static_cast<int>(rows_.size()); }
   [[nodiscard]] const FeatureVec& Row(int id) const;
 
-  /// Index of the nearest centroid (L2).
+  /// Index of the nearest centroid (L2): the lowest index among the
+  /// smallest distances, 0 when none is below FLT_MAX.
   [[nodiscard]] int Nearest(const FeatureVec& f) const;
+
+  /// out[i] = Nearest(queries[i]) for every query, across the pool
+  /// (`max_threads` caps it; 0 = every pool worker). Runs the active SIMD
+  /// path's lane-major kernel, or the Nearest loop when none is active;
+  /// the result is identical either way.
+  void NearestBatch(std::span<const FeatureVec> queries, std::span<int> out,
+                    unsigned max_threads = 0) const;
 
   /// Squared L2 distance of `f` to its nearest centroid.
   [[nodiscard]] float QuantizationError(const FeatureVec& f) const;

@@ -1,10 +1,29 @@
 #include "grid/occupancy.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
 namespace spnerf {
+namespace {
+
+/// Calls fn(i) for every set bit i < VoxelCount() of `bits`, ascending.
+template <typename Fn>
+void ForEachSetBit(const BitGrid& bits, Fn&& fn) {
+  const u64 total = bits.Dims().VoxelCount();
+  const std::vector<u64>& words = bits.Words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (u64 word = words[w]; word != 0; word &= word - 1) {
+      const VoxelIndex i = static_cast<VoxelIndex>(w) * 64 +
+                           static_cast<VoxelIndex>(std::countr_zero(word));
+      if (i >= total) return;
+      fn(i);
+    }
+  }
+}
+
+}  // namespace
 
 CoarseOccupancy CoarseOccupancy::Build(const BitGrid& fine, int factor) {
   SPNERF_CHECK_MSG(factor >= 1, "coarse factor must be >= 1");
@@ -16,33 +35,30 @@ CoarseOccupancy CoarseOccupancy::Build(const BitGrid& fine, int factor) {
   occ.factor_ = factor;
   BitGrid reduced(cd);
 
-  // OR-reduce fine bits into coarse cells.
-  const u64 total = fd.VoxelCount();
-  for (VoxelIndex i = 0; i < total; ++i) {
-    if (!fine.Test(i)) continue;
+  // OR-reduce fine bits into coarse cells, visiting the set bits only.
+  ForEachSetBit(fine, [&](VoxelIndex i) {
     const Vec3i p = fd.Unflatten(i);
     reduced.Set(Vec3i{p.x / factor, p.y / factor, p.z / factor}, true);
-  }
+  });
 
   // Dilate by one coarse cell so a skipped cell can never clip the trilinear
-  // stencil of an occupied neighbour.
+  // stencil of an occupied neighbour: a cell is set iff a cell of its
+  // in-bounds 3x3x3 neighbourhood is set in `reduced`. Each set reduced
+  // cell scatters to that neighbourhood, the same relation read from the
+  // other side.
   BitGrid dilated(cd);
-  for (int x = 0; x < cd.nx; ++x) {
-    for (int y = 0; y < cd.ny; ++y) {
-      for (int z = 0; z < cd.nz; ++z) {
-        bool any = false;
-        for (int dx = -1; dx <= 1 && !any; ++dx) {
-          for (int dy = -1; dy <= 1 && !any; ++dy) {
-            for (int dz = -1; dz <= 1 && !any; ++dz) {
-              const Vec3i q{x + dx, y + dy, z + dz};
-              if (cd.Contains(q) && reduced.Test(q)) any = true;
-            }
-          }
+  ForEachSetBit(reduced, [&](VoxelIndex i) {
+    const Vec3i c = cd.Unflatten(i);
+    for (int x = std::max(c.x - 1, 0); x <= std::min(c.x + 1, cd.nx - 1); ++x) {
+      for (int y = std::max(c.y - 1, 0); y <= std::min(c.y + 1, cd.ny - 1);
+           ++y) {
+        for (int z = std::max(c.z - 1, 0); z <= std::min(c.z + 1, cd.nz - 1);
+             ++z) {
+          dilated.Set(Vec3i{x, y, z}, true);
         }
-        if (any) dilated.Set(Vec3i{x, y, z}, true);
       }
     }
-  }
+  });
   occ.coarse_ = std::move(dilated);
   return occ;
 }

@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 
 namespace spnerf {
 namespace {
@@ -18,6 +17,13 @@ double Importance(const DenseGrid& grid, VoxelIndex i) {
     norm2 += static_cast<double>(f[c]) * f[c];
   return std::fabs(static_cast<double>(grid.Density(i))) *
          (1.0 + std::sqrt(norm2));
+}
+
+FeatureVec FeaturesOf(const DenseGrid& grid, VoxelIndex i) {
+  FeatureVec fv{};
+  const float* f = grid.Features(i);
+  for (int c = 0; c < kColorFeatureDim; ++c) fv[c] = f[c];
+  return fv;
 }
 
 }  // namespace
@@ -58,16 +64,22 @@ VqrfModel VqrfModel::Build(const DenseGrid& full, const VqrfBuildParams& params)
                                    << ") exceed the 18-bit unified address space ("
                                    << max_kept << " true-grid slots)");
   // Highest-importance survivors are kept; recompute the cut via rank.
-  std::vector<std::pair<double, VoxelIndex>> surv_ranked;
+  // Ranks pair importance with the survivor's position, which orders like
+  // its index (survivors are sorted), and the sort compares importance
+  // only, so the cut is the one an (importance, index) ranking gives.
+  std::vector<std::pair<double, std::size_t>> surv_ranked;
   surv_ranked.reserve(survivors.size());
-  for (VoxelIndex i : survivors) surv_ranked.emplace_back(Importance(full, i), i);
+  for (std::size_t s = 0; s < survivors.size(); ++s)
+    surv_ranked.emplace_back(Importance(full, survivors[s]), s);
   std::sort(surv_ranked.begin(), surv_ranked.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<bool> is_kept_rank(survivors.size(), false);
-  std::unordered_map<VoxelIndex, bool> kept_lookup;
-  kept_lookup.reserve(survivors.size());
-  for (std::size_t r = 0; r < surv_ranked.size(); ++r)
-    kept_lookup[surv_ranked[r].second] = (r < keep_count);
+  std::vector<bool> kept(survivors.size(), false);  // by survivor position
+  for (std::size_t r = 0; r < keep_count; ++r)
+    kept[surv_ranked[r].second] = true;
+  std::vector<VoxelIndex> vq_voxels;  // ascending, like survivors
+  vq_voxels.reserve(survivors.size() - keep_count);
+  for (std::size_t s = 0; s < survivors.size(); ++s)
+    if (!kept[s]) vq_voxels.push_back(survivors[s]);
 
   // ---- 3. Shared feature scale over all surviving features. ----
   std::vector<float> all_feats;
@@ -87,21 +99,16 @@ VqrfModel VqrfModel::Build(const DenseGrid& full, const VqrfBuildParams& params)
   std::vector<FeatureVec> train;
   train.reserve(static_cast<std::size_t>(params.max_vq_train_samples));
   {
-    std::vector<VoxelIndex> vq_voxels;
-    for (VoxelIndex i : survivors)
-      if (!kept_lookup[i]) vq_voxels.push_back(i);
-    if (vq_voxels.empty()) vq_voxels = survivors;  // degenerate: all kept
+    // Degenerate case, every survivor kept: train on the survivors.
+    const std::vector<VoxelIndex>& pool =
+        vq_voxels.empty() ? survivors : vq_voxels;
     const std::size_t want =
-        std::min<std::size_t>(vq_voxels.size(),
+        std::min<std::size_t>(pool.size(),
                               static_cast<std::size_t>(params.max_vq_train_samples));
     for (std::size_t s = 0; s < want; ++s) {
-      const VoxelIndex i = vq_voxels[vq_voxels.size() == want
-                                         ? s
-                                         : rng.NextBelow(vq_voxels.size())];
-      FeatureVec fv{};
-      const float* f = full.Features(i);
-      for (int c = 0; c < kColorFeatureDim; ++c) fv[c] = f[c];
-      train.push_back(fv);
+      const VoxelIndex i =
+          pool[pool.size() == want ? s : rng.NextBelow(pool.size())];
+      train.push_back(FeaturesOf(full, i));
     }
   }
   const int book_size =
@@ -122,33 +129,26 @@ VqrfModel VqrfModel::Build(const DenseGrid& full, const VqrfBuildParams& params)
   }
 
   // ---- 5. Emit records in ascending index order. ----
-  // Codebook assignment is the hot loop (N x codebook-size distance
-  // computations); precompute it in parallel, then emit sequentially so the
-  // record order stays deterministic.
-  std::vector<u32> nearest_id(survivors.size(), 0);
-  ParallelFor(
-      survivors.size(),
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          const VoxelIndex i = survivors[s];
-          if (kept_lookup.at(i)) continue;
-          FeatureVec fv{};
-          const float* f = full.Features(i);
-          for (int c = 0; c < kColorFeatureDim; ++c) fv[c] = f[c];
-          nearest_id[s] = static_cast<u32>(model.codebook_.Nearest(fv));
-        }
-      },
-      params.max_threads);
+  // Codebook assignment is the hot loop (VQ voxels x codebook-size distance
+  // computations): gather the VQ voxels' features once and assign them in
+  // one parallel NearestBatch, then emit sequentially so the record order
+  // stays deterministic.
+  std::vector<FeatureVec> vq_features;
+  vq_features.reserve(vq_voxels.size());
+  for (VoxelIndex i : vq_voxels) vq_features.push_back(FeaturesOf(full, i));
+  std::vector<int> vq_ids(vq_voxels.size(), 0);
+  model.codebook_.NearestBatch(vq_features, vq_ids, params.max_threads);
 
   model.records_.reserve(survivors.size());
   model.kept_features_.reserve(keep_count * kColorFeatureDim);
   u32 next_kept_slot = 0;
+  std::size_t next_vq = 0;
   for (std::size_t s = 0; s < survivors.size(); ++s) {
     const VoxelIndex i = survivors[s];
     VoxelRecord rec;
     rec.index = i;
     rec.density_q = model.density_quant_.Quantize(full.Density(i));
-    if (kept_lookup[i]) {
+    if (kept[s]) {
       rec.kept = true;
       rec.payload_id = next_kept_slot++;
       const float* f = full.Features(i);
@@ -156,7 +156,7 @@ VqrfModel VqrfModel::Build(const DenseGrid& full, const VqrfBuildParams& params)
         model.kept_features_.push_back(model.feature_quant_.Quantize(f[c]));
     } else {
       rec.kept = false;
-      rec.payload_id = nearest_id[s];
+      rec.payload_id = static_cast<u32>(vq_ids[next_vq++]);
     }
     model.record_by_index_[i] = static_cast<u32>(model.records_.size());
     model.records_.push_back(rec);
@@ -170,7 +170,6 @@ VqrfModel VqrfModel::Build(const DenseGrid& full, const VqrfBuildParams& params)
   SPNERF_LOG_DEBUG << "VQRF build: " << model.records_.size() << " survivors, "
                    << model.kept_count_ << " kept, codebook "
                    << model.codebook_.Size();
-  (void)is_kept_rank;
   return model;
 }
 

@@ -37,10 +37,10 @@ struct VqrfBuildParams {
   /// k-means trains on at most this many sampled feature vectors.
   int max_vq_train_samples = 20000;
   u64 seed = 1;
-  /// Worker cap for the parallel build loops (k-means seeding/assignment,
-  /// codebook assignment); 0 uses every pool worker. Pure execution
-  /// policy: the built model is byte-identical at any value, so asset
-  /// cache keys exclude it.
+  /// Worker cap for the parallel build loops (the k-means and VQ
+  /// codebook assignments, and the seeding refresh when no SIMD kernel is
+  /// active); 0 uses every pool worker. Pure execution policy: the built
+  /// model is byte-identical at any value, so asset cache keys exclude it.
   unsigned max_threads = 0;
 };
 

@@ -13,7 +13,9 @@
 #include "assets/asset_io.hpp"
 #include "assets/asset_key.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "core/pipeline_repository.hpp"
+#include "grid/vqrf_io.hpp"
 
 namespace spnerf {
 namespace {
@@ -98,6 +100,70 @@ TEST(CodecAsset, PinsOnlyTheVqrfModelNotTheDataset) {
   ASSERT_FALSE(vqrf->Records().empty());
   const Vec3i p = vqrf->Dims().Unflatten(vqrf->Records().front().index);
   (void)codec->Decode(p);
+}
+
+// ---------------------------------------------------- pinned built bytes --
+
+u64 Fnv1a(const std::string& bytes) {
+  u64 h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// A 32^3 grid whose voxels and values all come from Rng::NextBelow, with
+/// values k/64: exact binary fractions, so the built bytes depend on no
+/// libm routine and can be pinned across hosts.
+DenseGrid PinnedGrid() {
+  DenseGrid g({32, 32, 32});
+  Rng rng(2024);
+  for (int n = 0; n < 3000; ++n) {
+    const VoxelIndex i = rng.NextBelow(g.VoxelCount());
+    g.SetDensity(i, static_cast<float>(1 + rng.NextBelow(640)) / 64.0f);
+    float* f = g.MutableFeatures(i);
+    for (int c = 0; c < kColorFeatureDim; ++c) {
+      f[c] = (static_cast<float>(rng.NextBelow(129)) - 64.0f) / 64.0f;
+    }
+  }
+  return g;
+}
+
+TEST(AssetBytes, BuiltArtifactsMatchPinnedHashes) {
+  // FNV-1a of the VQRF, codec and coarse artifacts built from PinnedGrid(),
+  // recorded when codebook training and the coarse build were scalar. Every
+  // compiled SIMD path must build these exact bytes; a change that moves
+  // them changes what users' caches hold and needs a format version bump.
+  constexpr u64 kVqrf = 0x42085d7cae613bd7ull;
+  constexpr u64 kCodec = 0xf2de1734447e73b4ull;
+  constexpr u64 kCoarse1 = 0x75308236ff8459deull;
+  constexpr u64 kCoarse3 = 0x01664fb2a39347beull;
+
+  const DenseGrid grid = PinnedGrid();
+  VqrfBuildParams params;
+  params.codebook_size = 64;
+  params.max_vq_train_samples = 2000;
+  for (const simd::Path p : {simd::Path::kScalar, simd::BestSupportedPath()}) {
+    const simd::Path saved = simd::ActivePath();
+    simd::SetActivePath(p);
+    const VqrfModel vqrf = VqrfModel::Build(grid, params);
+    const SpNeRFModel codec = SpNeRFModel::Preprocess(vqrf, SmallCodecParams());
+    const BitGrid fine = BitGrid::FromGrid(grid);
+    simd::SetActivePath(saved);
+
+    std::ostringstream vqrf_bytes(std::ios::binary);
+    SaveVqrfModel(vqrf, vqrf_bytes);
+    std::ostringstream codec_bytes(std::ios::binary);
+    SaveSpNeRFModel(codec, codec_bytes);
+    SCOPED_TRACE(simd::PathName(p));
+    EXPECT_EQ(Fnv1a(vqrf_bytes.str()), kVqrf);
+    EXPECT_EQ(Fnv1a(codec_bytes.str()), kCodec);
+    EXPECT_EQ(Fnv1a(SaveCoarseBytes(CoarseOccupancy::Build(fine, 1))),
+              kCoarse1);
+    EXPECT_EQ(Fnv1a(SaveCoarseBytes(CoarseOccupancy::Build(fine, 3))),
+              kCoarse3);
+  }
 }
 
 // ---------------------------------------------------------- round trips --
